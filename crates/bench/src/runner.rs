@@ -50,16 +50,15 @@ pub fn run_dcache(policy: EncodingPolicy, trace: &Trace) -> EnergyReport {
 }
 
 /// Batched counterpart of [`run_trace`]: replays a prebuilt
-/// struct-of-arrays [`AccessBatch`] through the columnar hot loop
-/// ([`cnt_obs::replay_batch`]). Produces a report identical to
-/// [`run_trace`] over the same records — only the loop shape differs.
+/// struct-of-arrays [`AccessBatch`]. Produces a report identical to
+/// [`run_trace`] over the same records.
 ///
 /// # Panics
 ///
 /// As [`run_trace`].
 pub fn run_trace_batch(config: CntCacheConfig, batch: &AccessBatch) -> EnergyReport {
     let mut cache = CntCache::new(config).expect("experiment configuration must be valid");
-    cnt_obs::replay_batch(&mut cache, batch).expect("experiment traces are well-formed");
+    cnt_obs::replay(&mut cache, batch.iter()).expect("experiment traces are well-formed");
     cache.flush();
     cache.into_report()
 }

@@ -24,9 +24,9 @@
 use std::io::Read;
 use std::path::Path;
 
-use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EnergyReport};
+use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EnergyReport, EpochClock, EpochHook};
 use cnt_energy::EnergyBreakdown;
-use cnt_obs::{IngestSnapshot, Snapshot};
+use cnt_obs::{Emitter, IngestSnapshot};
 use cnt_sim::trace::AccessBatch;
 use cnt_sim::AccessError;
 use cnt_trace::reader::Fetch;
@@ -209,7 +209,7 @@ fn sample_ingest(
 /// byte budget (tracked in `peak_buffered_bytes`).
 ///
 /// Observability: when a metrics sink is installed this emits one
-/// [`Snapshot`] per epoch — per-level counters, per-epoch energy deltas,
+/// [`cnt_obs::Snapshot`] per epoch — per-level counters, per-epoch energy deltas,
 /// *and* the chunk-ingest block — under the same deterministic replay id
 /// scheme as `cnt_obs::replay`.
 ///
@@ -277,18 +277,26 @@ pub fn replay_stream_resumable<R: Read>(
             "reader must be seeked to the checkpoint cursor before resuming"
         );
     }
-    let experiment = if resuming {
-        cursor.experiment.clone()
+    let mut emitter = if resuming {
+        cursor.experiment.map(|experiment| Emitter {
+            experiment,
+            deltas: cnt_obs::DeltaTracker::seeded(cursor.delta_prev),
+        })
     } else {
-        every.map(|_| cnt_obs::next_replay_path())
+        every.map(|_| Emitter::start("obs.replays_observed"))
     };
-    let mut deltas = cnt_obs::DeltaTracker::seeded(cursor.delta_prev);
+    // Snapshots need a sink *and* a replay id: a resume from a
+    // checkpoint taken without metrics has no id to continue.
+    let observing = every.is_some() && emitter.is_some();
+    let mut clock = EpochClock {
+        every: every.unwrap_or_default(),
+        accesses: cursor.accesses,
+        epoch: cursor.epoch,
+    };
     let budget = reader.options().budget_bytes;
     let corruption = reader.options().corruption;
 
     let mut driver = cursor.driver;
-    let mut accesses: u64 = cursor.accesses;
-    let mut epoch: u64 = cursor.epoch;
     let mut last_checkpoint: u64 = cursor.chunk;
 
     let cancelled = |driver: &IngestSnapshot, accesses: u64| StreamError::Cancelled {
@@ -298,7 +306,7 @@ pub fn replay_stream_resumable<R: Read>(
 
     loop {
         if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(cancelled(&driver, accesses));
+            return Err(cancelled(&driver, clock.accesses));
         }
         // Fill one prefetch window, hard-bounded by the byte budget: a
         // chunk that does not fit the remaining window stays inside the
@@ -356,7 +364,7 @@ pub fn replay_stream_resumable<R: Read>(
 
         for (position, (raw, result)) in window.iter().zip(decoded).enumerate() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(cancelled(&driver, accesses));
+                return Err(cancelled(&driver, clock.accesses));
             }
             let batch = match result {
                 Ok(batch) => batch,
@@ -371,33 +379,18 @@ pub fn replay_stream_resumable<R: Read>(
                     }
                 }
             };
-            if every.is_none() {
-                // Untraced replay: stream the whole batch through the
-                // columnar loop with no per-record epoch bookkeeping.
-                cache.run_batch(&batch)?;
-                accesses += batch.len() as u64;
-            } else {
-                for i in 0..batch.len() {
-                    cache.access(&batch.get(i))?;
-                    accesses += 1;
-                    if let (Some(every), Some(experiment)) = (every, experiment.as_deref()) {
-                        if accesses.is_multiple_of(every) {
-                            // Only chunks strictly after `position` are
-                            // buffered-and-unconsumed; the chunk currently
-                            // being replayed is partially consumed and must
-                            // not inflate the gauge.
-                            let buffered = (window.len() - position - 1) as u64;
-                            let mut snapshot =
-                                Snapshot::capture(cache, experiment, epoch, accesses);
-                            snapshot.ingest =
-                                Some(sample_ingest(reader.stats(), &driver, buffered));
-                            deltas.apply(&mut snapshot);
-                            cnt_obs::record(snapshot);
-                            epoch += 1;
-                        }
-                    }
+            // Only chunks strictly after `position` are buffered-and-
+            // unconsumed; the chunk being replayed is partially consumed
+            // and must not inflate the gauge.
+            let buffered = (window.len() - position - 1) as u64;
+            let mut emit = |cache: &CntCache, epoch, accesses| {
+                let ingest = sample_ingest(reader.stats(), &driver, buffered);
+                if let Some(emitter) = emitter.as_mut() {
+                    emitter.emit(cache, epoch, accesses, Some(ingest));
                 }
-            }
+            };
+            let hook = observing.then_some(&mut emit as EpochHook<'_, CntCache>);
+            cache.run_observed(batch.iter(), &mut clock, hook)?;
             driver.chunks_consumed += 1;
             driver.bytes_decoded += raw.payload.len() as u64;
         }
@@ -410,11 +403,13 @@ pub fn replay_stream_resumable<R: Read>(
             if !eof && reader.cursor() - last_checkpoint >= ck.chunks {
                 let state = ReplayCursor {
                     chunk: reader.cursor(),
-                    accesses,
-                    epoch,
+                    accesses: clock.accesses,
+                    epoch: clock.epoch,
                     driver,
-                    experiment: experiment.clone(),
-                    delta_prev: deltas.state().to_vec(),
+                    experiment: emitter.as_ref().map(|e| e.experiment.clone()),
+                    delta_prev: emitter
+                        .as_ref()
+                        .map_or_else(Vec::new, |e| e.deltas.state().to_vec()),
                 };
                 (ck.write)(cache, &state, reader.identity())?;
                 last_checkpoint = state.chunk;
@@ -427,15 +422,10 @@ pub fn replay_stream_resumable<R: Read>(
     }
 
     let final_ingest = sample_ingest(reader.stats(), &driver, 0);
-    if let (Some(every), Some(experiment)) = (every, experiment.as_deref()) {
-        if !accesses.is_multiple_of(every) || accesses == 0 {
-            // Trailing partial epoch (or an empty stream): emit the final
-            // state so the last accesses are never silently discarded.
-            let mut snapshot = Snapshot::capture(cache, experiment, epoch, accesses);
-            snapshot.ingest = Some(final_ingest);
-            deltas.apply(&mut snapshot);
-            cnt_obs::record(snapshot);
-        }
+    if let Some(emitter) = emitter.as_mut().filter(|_| observing) {
+        clock.close(cache, &mut |cache, epoch, accesses| {
+            emitter.emit(cache, epoch, accesses, Some(final_ingest));
+        });
     }
 
     // Mirror the totals into the process-wide registry so `--metrics-final`
@@ -455,7 +445,7 @@ pub fn replay_stream_resumable<R: Read>(
         .add(final_ingest.bytes_decoded);
     registry.counter("trace.replays").inc();
 
-    Ok((final_ingest, accesses))
+    Ok((final_ingest, clock.accesses))
 }
 
 /// Streams `path` through a fresh cache built from `config`, flushes,

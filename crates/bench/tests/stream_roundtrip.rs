@@ -7,11 +7,14 @@
 //! numbers silently.
 
 use cnt_bench::runner::{dcache_config, run_dcache};
-use cnt_bench::stream::{replay_stream, StreamError};
+use cnt_bench::stream::{
+    replay_stream, replay_stream_resumable, CheckpointEvery, ReplayCursor, StreamError,
+};
 use cnt_cache::{CntCache, EncodingPolicy, EnergyReport};
+use cnt_obs::{install_local, Snapshot};
 use cnt_sim::trace::{MemoryAccess, Trace};
 use cnt_sim::Address;
-use cnt_trace::{pack_trace, CorruptionPolicy, ReadOptions, StreamReader};
+use cnt_trace::{pack_trace, Checkpointable, CorruptionPolicy, ReadOptions, StreamReader};
 use cnt_workloads::synthetic::{AddressPattern, SyntheticSpec};
 use proptest::prelude::*;
 
@@ -47,6 +50,15 @@ fn arb_access() -> impl Strategy<Value = MemoryAccess> {
             _ => MemoryAccess::ifetch(Address::new(raw & !7)),
         }
     })
+}
+
+/// A snapshot with what only a streamed replay carries masked: the
+/// ingest block, and the replay id (each replay on a thread takes the
+/// next one).
+fn without_stream_parts(mut snapshot: Snapshot) -> Snapshot {
+    snapshot.ingest = None;
+    snapshot.experiment.clear();
+    snapshot
 }
 
 proptest! {
@@ -87,6 +99,66 @@ proptest! {
                 ingest.peak_buffered_bytes,
                 budget_kib * 1024
             );
+        }
+    }
+
+    /// A streamed replay emits the snapshots `cnt_obs::replay` emits over
+    /// the same trace, whatever the chunk size, budget and epoch length
+    /// (`every` need not divide the chunk), and a replay resumed at a
+    /// window-boundary checkpoint continues the same stream.
+    #[test]
+    fn streamed_snapshots_match_in_memory_replay(
+        accesses in prop::collection::vec(arb_access(), 0..400),
+        chunk in 1u32..64,
+        budget_kib in 1usize..4,
+        every in 1u64..90,
+    ) {
+        let trace = Trace::from_iter(accesses);
+        let bytes = pack(&trace, chunk);
+        let opts = ReadOptions {
+            budget_bytes: budget_kib * 1024,
+            corruption: CorruptionPolicy::FailFast,
+        };
+        let config = dcache_config("L1D", EncodingPolicy::adaptive_default());
+
+        let guard = install_local(every, None);
+        let mut cache = CntCache::new(config.clone()).expect("valid config");
+        cnt_obs::replay(&mut cache, &trace).expect("replays");
+        let expected: Vec<Snapshot> =
+            guard.finish().into_iter().map(without_stream_parts).collect();
+
+        // Streamed, keeping the first window-boundary checkpoint.
+        let mut saved: Option<(Vec<u8>, ReplayCursor)> = None;
+        let mut keep_first = |cache: &CntCache, cursor: &ReplayCursor, _identity: u64| {
+            if saved.is_none() {
+                saved = Some((cache.encode_state()?, cursor.clone()));
+            }
+            Ok(())
+        };
+        let guard = install_local(every, None);
+        let mut reader =
+            StreamReader::new(std::io::Cursor::new(&bytes[..]), opts).expect("opens");
+        let mut cache = CntCache::new(config.clone()).expect("valid config");
+        let checkpoint = CheckpointEvery { chunks: 1, write: &mut keep_first };
+        replay_stream_resumable(&mut cache, &mut reader, None, Some(checkpoint), None)
+            .expect("streams");
+        let streamed = guard.finish();
+        let masked: Vec<Snapshot> =
+            streamed.iter().cloned().map(without_stream_parts).collect();
+        prop_assert_eq!(masked, expected);
+
+        if let Some((state, cursor)) = saved {
+            let guard = install_local(every, None);
+            let mut reader =
+                StreamReader::new(std::io::Cursor::new(&bytes[..]), opts).expect("opens");
+            reader.seek_to_chunk(cursor.chunk).expect("seeks");
+            let mut cache = CntCache::new(config).expect("valid config");
+            cache.restore_state(&state).expect("restores");
+            replay_stream_resumable(&mut cache, &mut reader, Some(cursor.clone()), None, None)
+                .expect("resumes");
+            let tail: Vec<Snapshot> =
+                streamed.into_iter().filter(|s| s.epoch >= cursor.epoch).collect();
+            prop_assert_eq!(guard.finish(), tail);
         }
     }
 

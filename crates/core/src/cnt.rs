@@ -12,13 +12,15 @@
 //! direction bits; correctness is structural (the XOR is an involution) and
 //! energy is always computed on the stored view.
 
+use std::borrow::Borrow;
+
 use cnt_encoding::{
     AccessHistory, BitPreference, DirectionBits, DirectionPredictor, FifoSnapshot, FifoStats,
     LineCodec, OverflowPolicy, PartitionLayout, PredictorConfig, ProtectedDirectionBits,
     ProtectedHistory, ProtectionMode, ProtectionVerdict, UpdateFifo,
 };
 use cnt_energy::{ChargeKind, EnergyBreakdown, EnergyMeter};
-use cnt_sim::trace::{AccessBatch, AccessKind, MemoryAccess};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::{
     AccessError, AccessOutcome, Address, ArrayObserver, Backing, Cache, CacheLevel, CacheLine,
     CacheSnapshot, CacheStats, LineLocation, MainMemory, MemorySnapshot,
@@ -28,11 +30,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{CntCacheConfig, ConfigError};
 use crate::policy::{EncodingPolicy, MetadataFaultPolicy};
+use crate::replay::{drive, EpochClock, EpochHook};
 use crate::report::{EncodingCounters, EnergyReport, ReliabilityCounters};
 
 /// Per-line encoding state: direction bits, window counters, and the
-/// sticky-classifier streak.
-#[derive(Debug, Clone, Copy)]
+/// sticky-classifier streak. Serialized as-is into checkpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct LineState {
     dirs: ProtectedDirectionBits,
     /// Window counters in a protected register: the H field is guarded
@@ -60,16 +63,6 @@ impl LineState {
     }
 }
 
-/// One line's encoding state as it travels through a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct LineStateSnapshot {
-    dirs: ProtectedDirectionBits,
-    history: ProtectedHistory,
-    last_pattern: Option<cnt_encoding::AccessPattern>,
-    streak: u32,
-    pinned: bool,
-}
-
 /// Everything a [`CntCache`] needs to resume exactly where it stopped:
 /// the data-carrying cache, the backing memory, per-line encoding state,
 /// the deferred-update FIFO, every counter, and the accumulated energy
@@ -78,7 +71,7 @@ pub(crate) struct LineStateSnapshot {
 pub(crate) struct CacheCheckpoint {
     cache: CacheSnapshot,
     memory: MemorySnapshot,
-    states: Vec<LineStateSnapshot>,
+    states: Vec<LineState>,
     fifo_queue: Vec<PendingUpdate>,
     fifo_stats: FifoStats,
     counters: EncodingCounters,
@@ -385,12 +378,10 @@ impl CntCache {
     ///
     /// Returns [`AccessError`] for malformed accesses.
     pub fn access(&mut self, access: &MemoryAccess) -> Result<AccessOutcome, AccessError> {
-        match access.kind {
-            AccessKind::Write => self.demand(access.addr, access.width, Some(access.value)),
-            AccessKind::Read | AccessKind::InstrFetch => {
-                self.demand(access.addr, access.width, None)
-            }
-        }
+        let mut memory = std::mem::take(&mut self.memory);
+        let result = self.access_through(access, &mut memory);
+        self.memory = memory;
+        result
     }
 
     /// Reads `width` bytes at `addr`.
@@ -399,7 +390,8 @@ impl CntCache {
     ///
     /// Returns [`AccessError`] for malformed accesses.
     pub fn read(&mut self, addr: Address, width: u8) -> Result<u64, AccessError> {
-        self.demand(addr, width, None).map(|o| o.value)
+        self.access(&MemoryAccess::read(addr, width))
+            .map(|o| o.value)
     }
 
     /// Writes the low `width * 8` bits of `value` at `addr`.
@@ -408,7 +400,8 @@ impl CntCache {
     ///
     /// Returns [`AccessError`] for malformed accesses.
     pub fn write(&mut self, addr: Address, width: u8, value: u64) -> Result<(), AccessError> {
-        self.demand(addr, width, Some(value)).map(|_| ())
+        self.access(&MemoryAccess::write(addr, width, value))
+            .map(|_| ())
     }
 
     /// Runs every access of a trace, returning how many were performed.
@@ -416,174 +409,49 @@ impl CntCache {
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
-    pub fn run<'a, I>(&mut self, trace: I) -> Result<usize, AccessError>
+    pub fn run<I>(&mut self, trace: I) -> Result<usize, AccessError>
     where
-        I: IntoIterator<Item = &'a MemoryAccess>,
+        I: IntoIterator,
+        I::Item: Borrow<MemoryAccess>,
     {
-        let mut n = 0;
-        for access in trace {
-            self.access(access)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// Runs every access of a trace like [`run`](Self::run), invoking
-    /// `epoch_hook(&self, epoch, accesses_so_far)` after every `every`
-    /// accesses (an *epoch boundary*). A final call is made at the end of
-    /// the trace when a partial epoch remains — or when the trace was
-    /// empty — so every replay yields at least one observation.
-    ///
-    /// The hook borrows the cache immutably, so it can capture statistics,
-    /// the energy breakdown, encoding counters, and FIFO occupancy
-    /// mid-replay without disturbing the simulation.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first [`AccessError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn run_observed<'a, I, F>(
-        &mut self,
-        trace: I,
-        every: u64,
-        mut epoch_hook: F,
-    ) -> Result<usize, AccessError>
-    where
-        I: IntoIterator<Item = &'a MemoryAccess>,
-        F: FnMut(&Self, u64, u64),
-    {
-        assert!(every > 0, "epoch length must be positive");
-        let mut n: u64 = 0;
-        let mut epoch: u64 = 0;
-        for access in trace {
-            self.access(access)?;
-            n += 1;
-            if n.is_multiple_of(every) {
-                epoch_hook(self, epoch, n);
-                epoch += 1;
-            }
-        }
-        if !n.is_multiple_of(every) || n == 0 {
-            // Trailing partial epoch (or an empty replay): emit the final
-            // state so the last accesses are never silently discarded.
-            epoch_hook(self, epoch, n);
-        }
-        Ok(n as usize)
+        self.run_observed(trace, &mut EpochClock::default(), None)
     }
 
     /// Runs every access of a struct-of-arrays batch, returning how many
-    /// were performed. Semantically identical to [`run`](Self::run) over
-    /// the same records, but the loop streams through the batch's columns
-    /// — no per-record struct decode, kind match, or pointer chase.
+    /// were performed — [`run`](Self::run) over the batch's records.
     ///
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
     pub fn run_batch(&mut self, batch: &AccessBatch) -> Result<usize, AccessError> {
-        for i in 0..batch.len() {
-            self.demand(batch.addr(i), batch.width(i), batch.write_value(i))?;
-        }
-        Ok(batch.len())
+        self.run(batch.iter())
     }
 
-    /// [`run_batch`](Self::run_batch) with the epoch hook of
-    /// [`run_observed`](Self::run_observed): `epoch_hook(&self, epoch,
-    /// accesses_so_far)` fires every `every` accesses plus once for a
-    /// trailing partial (or empty) epoch, so observed batched replays
-    /// emit exactly the snapshots of their record-at-a-time equivalent.
+    /// Runs every access of `trace` like [`run`](Self::run), advancing
+    /// `clock` and calling `epoch_hook(&self, epoch, accesses_so_far)`
+    /// at each epoch boundary. A replay may span several calls with one
+    /// clock; [`EpochClock::close`] emits its trailing partial epoch.
     ///
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn run_batch_observed<F>(
+    pub fn run_observed<I>(
         &mut self,
-        batch: &AccessBatch,
-        every: u64,
-        mut epoch_hook: F,
+        trace: I,
+        clock: &mut EpochClock,
+        epoch_hook: Option<EpochHook<'_, Self>>,
     ) -> Result<usize, AccessError>
     where
-        F: FnMut(&Self, u64, u64),
+        I: IntoIterator,
+        I::Item: Borrow<MemoryAccess>,
     {
-        assert!(every > 0, "epoch length must be positive");
-        let mut n: u64 = 0;
-        let mut epoch: u64 = 0;
-        for i in 0..batch.len() {
-            self.demand(batch.addr(i), batch.width(i), batch.write_value(i))?;
-            n += 1;
-            if n.is_multiple_of(every) {
-                epoch_hook(self, epoch, n);
-                epoch += 1;
-            }
-        }
-        if !n.is_multiple_of(every) || n == 0 {
-            epoch_hook(self, epoch, n);
-        }
-        Ok(n as usize)
-    }
-
-    fn demand(
-        &mut self,
-        addr: Address,
-        width: u8,
-        write: Option<u64>,
-    ) -> Result<AccessOutcome, AccessError> {
-        let mut memory = std::mem::take(&mut self.memory);
-        let result = self.demand_through(addr, width, write, &mut memory);
-        self.memory = memory;
-        result
-    }
-
-    fn demand_through(
-        &mut self,
-        addr: Address,
-        width: u8,
-        write: Option<u64>,
-        lower: &mut dyn Backing,
-    ) -> Result<AccessOutcome, AccessError> {
-        // Decode-path check: the addressed line's metadata is verified
-        // *before* the direction bits are trusted. An uncorrectable fault
-        // may invalidate the line here, turning the access into a clean
-        // refetch miss.
-        if self.protection != ProtectionMode::None {
-            if let Some(loc) = self.cache.find(addr) {
-                self.verify_line_metadata(loc);
-            }
-        }
-        let ways = self.config.geometry.associativity();
-        let outcome = {
-            let mut observer = MeterObserver {
-                meter: &mut self.meter,
-                states: &mut self.states,
-                codec: &self.codec,
-                fifo: &mut self.fifo,
-                ways,
-                fill_preference: self.fill_preference,
-                zero_flag: self.zero_flag,
-                protection: self.protection,
-                fresh_history: self.fresh_history,
-                metadata_scale: if self.config.meter_metadata {
-                    self.config.metadata_energy_scale
-                } else {
-                    0.0
-                },
-            };
-            match write {
-                Some(value) => {
-                    self.cache
-                        .write_outcome(addr, width, value, lower, &mut observer)?
-                }
-                None => self.cache.read_outcome(addr, width, lower, &mut observer)?,
-            }
-        };
-        self.after_demand(&outcome, write.is_some());
-        Ok(outcome)
+        drive(
+            self,
+            trace,
+            |cache, access| cache.access(access.borrow()).map(drop),
+            clock,
+            epoch_hook,
+        )
     }
 
     /// Performs one demand access against an *external* backing (a lower
@@ -598,86 +466,83 @@ impl CntCache {
         access: &MemoryAccess,
         lower: &mut dyn Backing,
     ) -> Result<AccessOutcome, AccessError> {
-        match access.kind {
-            AccessKind::Write => {
-                self.demand_through(access.addr, access.width, Some(access.value), lower)
+        let MemoryAccess {
+            addr, width, value, ..
+        } = *access;
+        // An uncorrectable fault may invalidate the line here, turning the
+        // access into a clean refetch miss.
+        self.verify_before_use(addr);
+        let outcome = {
+            let (cache, mut observer) = self.metered();
+            if access.is_write() {
+                cache.write_outcome(addr, width, value, lower, &mut observer)?
+            } else {
+                cache.read_outcome(addr, width, lower, &mut observer)?
             }
-            AccessKind::Read | AccessKind::InstrFetch => {
-                self.demand_through(access.addr, access.width, None, lower)
-            }
-        }
+        };
+        self.after_demand(&outcome, access.is_write());
+        Ok(outcome)
     }
 
     /// Serves a whole-line read for an upper cache level, with full
     /// energy metering and encoding bookkeeping at this level.
     pub fn load_line_through(&mut self, base: Address, buf: &mut [u64], lower: &mut dyn Backing) {
-        if self.protection != ProtectionMode::None {
-            if let Some(loc) = self.cache.find(base) {
-                self.verify_line_metadata(loc);
-            }
-        }
-        let ways = self.config.geometry.associativity();
-        {
-            let mut observer = MeterObserver {
-                meter: &mut self.meter,
-                states: &mut self.states,
-                codec: &self.codec,
-                fifo: &mut self.fifo,
-                ways,
-                fill_preference: self.fill_preference,
-                zero_flag: self.zero_flag,
-                protection: self.protection,
-                fresh_history: self.fresh_history,
-                metadata_scale: if self.config.meter_metadata {
-                    self.config.metadata_energy_scale
-                } else {
-                    0.0
-                },
-            };
-            let mut level = CacheLevel {
-                cache: &mut self.cache,
-                lower,
-                observer: &mut observer,
-            };
-            level.load_line(base, buf);
-        }
-        self.after_line_transfer(base, false);
+        self.transfer_through(base, false, lower, |level| level.load_line(base, buf));
     }
 
     /// Accepts a whole-line spill from an upper cache level, with full
     /// energy metering and encoding bookkeeping at this level.
     pub fn store_line_through(&mut self, base: Address, data: &[u64], lower: &mut dyn Backing) {
+        self.transfer_through(base, true, lower, |level| level.store_line(base, data));
+    }
+
+    /// One metered line transfer at this level, then its bookkeeping.
+    fn transfer_through(
+        &mut self,
+        base: Address,
+        is_write: bool,
+        lower: &mut dyn Backing,
+        transfer: impl FnOnce(&mut CacheLevel<'_>),
+    ) {
+        self.verify_before_use(base);
+        let (cache, mut observer) = self.metered();
+        transfer(&mut CacheLevel {
+            cache,
+            lower,
+            observer: &mut observer,
+        });
+        self.after_line_transfer(base, is_write);
+    }
+
+    /// Decode-path check: the metadata of the line holding `addr` (if
+    /// resident) is verified *before* its direction bits are trusted.
+    fn verify_before_use(&mut self, addr: Address) {
         if self.protection != ProtectionMode::None {
-            if let Some(loc) = self.cache.find(base) {
+            if let Some(loc) = self.cache.find(addr) {
                 self.verify_line_metadata(loc);
             }
         }
-        let ways = self.config.geometry.associativity();
-        {
-            let mut observer = MeterObserver {
-                meter: &mut self.meter,
-                states: &mut self.states,
-                codec: &self.codec,
-                fifo: &mut self.fifo,
-                ways,
-                fill_preference: self.fill_preference,
-                zero_flag: self.zero_flag,
-                protection: self.protection,
-                fresh_history: self.fresh_history,
-                metadata_scale: if self.config.meter_metadata {
-                    self.config.metadata_energy_scale
-                } else {
-                    0.0
-                },
-            };
-            let mut level = CacheLevel {
-                cache: &mut self.cache,
-                lower,
-                observer: &mut observer,
-            };
-            level.store_line(base, data);
-        }
-        self.after_line_transfer(base, true);
+    }
+
+    /// Splits the cache from the observer that meters its array events.
+    fn metered(&mut self) -> (&mut Cache, MeterObserver<'_>) {
+        let observer = MeterObserver {
+            meter: &mut self.meter,
+            states: &mut self.states,
+            codec: &self.codec,
+            fifo: &mut self.fifo,
+            ways: self.config.geometry.associativity(),
+            fill_preference: self.fill_preference,
+            zero_flag: self.zero_flag,
+            protection: self.protection,
+            fresh_history: self.fresh_history,
+            metadata_scale: if self.config.meter_metadata {
+                self.config.metadata_energy_scale
+            } else {
+                0.0
+            },
+        };
+        (&mut self.cache, observer)
     }
 
     /// Line-transfer bookkeeping: the touched line gets one history event
@@ -1096,24 +961,8 @@ impl CntCache {
         // write-back: verify them all first (not counted as a scrub pass).
         self.sweep_metadata();
         self.drain_pending();
-        let ways = self.config.geometry.associativity();
-        let mut observer = MeterObserver {
-            meter: &mut self.meter,
-            states: &mut self.states,
-            codec: &self.codec,
-            fifo: &mut self.fifo,
-            ways,
-            fill_preference: self.fill_preference,
-            zero_flag: self.zero_flag,
-            protection: self.protection,
-            fresh_history: self.fresh_history,
-            metadata_scale: if self.config.meter_metadata {
-                self.config.metadata_energy_scale
-            } else {
-                0.0
-            },
-        };
-        self.cache.flush(lower, &mut observer)
+        let (cache, mut observer) = self.metered();
+        cache.flush(lower, &mut observer)
     }
 
     /// H&D metadata bits per line, including protection check bits.
@@ -1432,17 +1281,7 @@ impl CntCache {
         CacheCheckpoint {
             cache: self.cache.snapshot(),
             memory: self.memory.snapshot(),
-            states: self
-                .states
-                .iter()
-                .map(|s| LineStateSnapshot {
-                    dirs: s.dirs,
-                    history: s.history,
-                    last_pattern: s.last_pattern,
-                    streak: s.streak,
-                    pinned: s.pinned,
-                })
-                .collect(),
+            states: self.states.clone(),
             fifo_queue: self.fifo.iter().copied().collect(),
             fifo_stats: *self.fifo.stats(),
             counters: self.counters,
@@ -1505,17 +1344,7 @@ impl CntCache {
         self.cache.restore(ckpt.cache)?;
         self.memory = memory;
         self.fifo = fifo;
-        self.states = ckpt
-            .states
-            .into_iter()
-            .map(|s| LineState {
-                dirs: s.dirs,
-                history: s.history,
-                last_pattern: s.last_pattern,
-                streak: s.streak,
-                pinned: s.pinned,
-            })
-            .collect();
+        self.states = ckpt.states;
         self.counters = ckpt.counters;
         self.reliability = ckpt.reliability;
         self.degraded_lines = ckpt.degraded_lines;

@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cnt::{bad_state, CacheCheckpoint, CntCache};
 use crate::config::{CntCacheConfig, ConfigError};
+use crate::replay::{drive, EpochClock, EpochHook};
 use crate::report::EnergyReport;
 
 /// Configuration of a [`CntHierarchy`]: one [`CntCacheConfig`] per level.
@@ -164,52 +165,31 @@ impl CntHierarchy {
     where
         I: IntoIterator<Item = &'a MemoryAccess>,
     {
-        let mut n = 0;
-        for access in trace {
-            self.access(access)?;
-            n += 1;
-        }
-        Ok(n)
+        self.run_observed(trace, &mut EpochClock::default(), None)
     }
 
-    /// Runs a whole trace like [`run`](Self::run), invoking
-    /// `epoch_hook(&self, epoch, accesses_so_far)` after every `every`
-    /// accesses, with a final call for a trailing partial epoch (or an
-    /// empty trace) — the hierarchy counterpart of
-    /// [`CntCache::run_observed`].
+    /// Runs a whole trace like [`run`](Self::run) with an epoch hook —
+    /// the hierarchy counterpart of [`CntCache::run_observed`].
     ///
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn run_observed<'a, I, F>(
+    pub fn run_observed<'a, I>(
         &mut self,
         trace: I,
-        every: u64,
-        mut epoch_hook: F,
+        clock: &mut EpochClock,
+        epoch_hook: Option<EpochHook<'_, Self>>,
     ) -> Result<usize, AccessError>
     where
         I: IntoIterator<Item = &'a MemoryAccess>,
-        F: FnMut(&Self, u64, u64),
     {
-        assert!(every > 0, "epoch length must be positive");
-        let mut n: u64 = 0;
-        let mut epoch: u64 = 0;
-        for access in trace {
-            self.access(access)?;
-            n += 1;
-            if n.is_multiple_of(every) {
-                epoch_hook(self, epoch, n);
-                epoch += 1;
-            }
-        }
-        if !n.is_multiple_of(every) || n == 0 {
-            epoch_hook(self, epoch, n);
-        }
-        Ok(n as usize)
+        drive(
+            self,
+            trace,
+            |h, access| h.access(access).map(drop),
+            clock,
+            epoch_hook,
+        )
     }
 
     /// Flushes every level (L1s through the L2, then the L2 to memory).

@@ -65,12 +65,14 @@ mod cnt;
 mod config;
 mod hierarchy;
 mod policy;
+mod replay;
 mod report;
 
 pub use cnt::{AuditError, CntCache, PendingUpdate, ScrubReport};
 pub use config::{CntCacheConfig, CntCacheConfigBuilder, ConfigError};
 pub use hierarchy::{CntHierarchy, CntHierarchyConfig};
 pub use policy::{AdaptiveParams, EncodingPolicy, MetadataFaultPolicy};
+pub use replay::{EpochClock, EpochHook};
 pub use report::{ComparisonRow, EncodingCounters, EnergyReport, ReliabilityCounters, TimingModel};
 
 /// Convenience re-exports of the most commonly used substrate types.

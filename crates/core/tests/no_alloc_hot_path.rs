@@ -5,7 +5,9 @@
 //! growing the update FIFO, installing every line), then replays the same
 //! trace again and asserts the second replay performs **zero** heap
 //! allocations. Every demand read/write, line fill, window decision, and
-//! deferred re-encode therefore runs without touching the allocator.
+//! deferred re-encode therefore runs without touching the allocator —
+//! both through `run` over records and through the columnar `run_batch`
+//! that streamed replays and the benchmark drive.
 //!
 //! The wrapper forwards to `System` verbatim, so the accounting cannot
 //! change allocation behaviour — only observe it.
@@ -14,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy};
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess, Trace};
 use cnt_sim::Address;
 
 struct CountingAllocator;
@@ -63,8 +65,13 @@ fn hot_trace() -> Trace {
     trace
 }
 
-#[test]
-fn steady_state_replay_allocates_nothing() {
+/// Warms a fresh cache up with one `replay`, then asserts a second one
+/// allocates nothing.
+fn assert_steady_state_allocates_nothing(
+    what: &str,
+    accesses: usize,
+    mut replay: impl FnMut(&mut CntCache),
+) {
     let config = CntCacheConfig::builder()
         .name("L1D")
         .size_bytes(8 * 1024)
@@ -73,21 +80,31 @@ fn steady_state_replay_allocates_nothing() {
         .policy(EncodingPolicy::adaptive_default())
         .build()
         .expect("valid geometry");
-    let trace = hot_trace();
-
     let mut cache = CntCache::new(config).expect("valid config");
     // Warm-up replay: allocates backing-memory chunks, grows the FIFO to
     // its working capacity, and installs every line once.
-    cache.run(trace.iter()).expect("well-formed trace");
+    replay(&mut cache);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    cache.run(trace.iter()).expect("well-formed trace");
+    replay(&mut cache);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 
     assert_eq!(
         after - before,
         0,
-        "steady-state replay of {} accesses must not allocate",
-        trace.len()
+        "steady-state {what} of {accesses} accesses must not allocate"
     );
+}
+
+// One test, so no other test's allocations land inside a measured window.
+#[test]
+fn steady_state_replay_allocates_nothing() {
+    let trace = hot_trace();
+    assert_steady_state_allocates_nothing("run", trace.len(), |cache| {
+        cache.run(trace.iter()).expect("well-formed trace");
+    });
+    let batch = AccessBatch::from_trace(&trace);
+    assert_steady_state_allocates_nothing("run_batch", batch.len(), |cache| {
+        cache.run_batch(&batch).expect("well-formed batch");
+    });
 }

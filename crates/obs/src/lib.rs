@@ -46,7 +46,6 @@ pub use sink::{
     drain, epoch_len, install, is_enabled, pending, preload, record, registry, to_jsonl,
 };
 pub use snapshot::{
-    replay, replay_batch, replay_hierarchy, replay_into, validate_jsonl, validate_sessions_jsonl,
-    DeltaTracker, FifoSnapshot, IngestSnapshot, JsonlSummary, LevelSnapshot, SessionsSummary,
-    Snapshot,
+    replay, replay_hierarchy, validate_jsonl, validate_sessions_jsonl, Capture, DeltaTracker,
+    Emitter, FifoSnapshot, IngestSnapshot, JsonlSummary, LevelSnapshot, SessionsSummary, Snapshot,
 };

@@ -7,12 +7,16 @@
 //! epoch number so interleaved parallel emission can be reordered at the
 //! sink (see [`crate::sink`]).
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 
-use cnt_cache::{CntCache, CntHierarchy, EncodingCounters, ReliabilityCounters};
+use cnt_cache::{
+    CntCache, CntHierarchy, EncodingCounters, EpochClock, EpochHook, ReliabilityCounters,
+};
 use cnt_encoding::FifoStats;
 use cnt_energy::EnergyBreakdown;
-use cnt_sim::trace::{AccessBatch, Trace};
+use cnt_sim::trace::{MemoryAccess, Trace};
 use cnt_sim::{AccessError, CacheStats};
 
 use crate::{scope, sink};
@@ -116,38 +120,46 @@ pub struct Snapshot {
     pub ingest: Option<IngestSnapshot>,
 }
 
-impl Snapshot {
-    /// Captures a single-level replay.
-    pub fn capture(cache: &CntCache, experiment: &str, epoch: u64, accesses: u64) -> Self {
-        Snapshot {
-            experiment: experiment.to_string(),
-            epoch,
-            accesses,
-            levels: vec![LevelSnapshot::capture(cache)],
-            ingest: None,
-        }
-    }
+/// A replayable simulator whose state a [`Snapshot`] captures, one
+/// [`LevelSnapshot`] per cache level.
+pub trait Capture {
+    /// Captures every level, innermost first.
+    fn levels(&self) -> Vec<LevelSnapshot>;
+}
 
-    /// Captures every level of a hierarchy (L1I, L1D, and L2 when
-    /// present).
-    pub fn capture_hierarchy(
-        hierarchy: &CntHierarchy,
+impl Capture for CntCache {
+    fn levels(&self) -> Vec<LevelSnapshot> {
+        vec![LevelSnapshot::capture(self)]
+    }
+}
+
+impl Capture for CntHierarchy {
+    /// L1I, L1D, and the L2 when present.
+    fn levels(&self) -> Vec<LevelSnapshot> {
+        let mut levels = vec![
+            LevelSnapshot::capture(self.l1i()),
+            LevelSnapshot::capture(self.l1d()),
+        ];
+        if let Some(l2) = self.l2() {
+            levels.push(LevelSnapshot::capture(l2));
+        }
+        levels
+    }
+}
+
+impl Snapshot {
+    /// Captures every level of a replay.
+    pub fn capture<S: Capture + ?Sized>(
+        sim: &S,
         experiment: &str,
         epoch: u64,
         accesses: u64,
     ) -> Self {
-        let mut levels = vec![
-            LevelSnapshot::capture(hierarchy.l1i()),
-            LevelSnapshot::capture(hierarchy.l1d()),
-        ];
-        if let Some(l2) = hierarchy.l2() {
-            levels.push(LevelSnapshot::capture(l2));
-        }
         Snapshot {
             experiment: experiment.to_string(),
             epoch,
             accesses,
-            levels,
+            levels: sim.levels(),
             ingest: None,
         }
     }
@@ -168,8 +180,7 @@ impl Snapshot {
 /// remembering the previous epoch's accumulators, per level index.
 ///
 /// One tracker per replay: feed it every snapshot of that replay in
-/// epoch order (exactly how the `replay*` emitters in this module call
-/// it).
+/// epoch order (exactly how [`Emitter`] calls it).
 ///
 /// # Example
 ///
@@ -223,103 +234,95 @@ impl DeltaTracker {
     }
 }
 
-/// Replays `trace` through `cache`, emitting one snapshot per epoch to
-/// the global sink when tracing is enabled.
-///
-/// When the sink is disabled (the default) this delegates straight to
-/// [`CntCache::run`] and adds exactly one relaxed atomic load — the hot
-/// path stays allocation-free (see `tests/no_alloc_disabled.rs`).
+/// One observed replay's emission state: its deterministic id and its
+/// energy-delta tracker. Every emitter — in-memory, hierarchy, and
+/// streamed replays — records its snapshots through [`Emitter::emit`].
+#[derive(Debug)]
+pub struct Emitter {
+    /// The replay id.
+    pub experiment: String,
+    /// Per-epoch energy deltas; a checkpoint saves its
+    /// [`state`](DeltaTracker::state) to resume it.
+    pub deltas: DeltaTracker,
+}
+
+impl Emitter {
+    /// Starts a fresh observed replay: allocates the next replay id and
+    /// counts the replay under the registry counter `counter`.
+    pub fn start(counter: &str) -> Self {
+        sink::registry().counter(counter).inc();
+        Emitter {
+            experiment: scope::next_replay_path(),
+            deltas: DeltaTracker::new(),
+        }
+    }
+
+    /// Captures `sim` at the end of `epoch`, rewrites its per-epoch
+    /// energy deltas, and records it.
+    pub fn emit<S: Capture + ?Sized>(
+        &mut self,
+        sim: &S,
+        epoch: u64,
+        accesses: u64,
+        ingest: Option<IngestSnapshot>,
+    ) {
+        let mut snapshot = Snapshot::capture(sim, &self.experiment, epoch, accesses);
+        snapshot.ingest = ingest;
+        self.deltas.apply(&mut snapshot);
+        sink::record(snapshot);
+    }
+}
+
+/// Replays through `run(sim, clock, hook)` — a simulator's
+/// `run_observed` entry — emitting one snapshot per epoch when a sink is
+/// installed. With none, `run` gets no hook: one relaxed atomic load is
+/// all tracing adds, and the hot path stays allocation-free (see
+/// `tests/no_alloc_disabled.rs`).
+fn observe<S, F>(sim: &mut S, counter: &str, run: F) -> Result<usize, AccessError>
+where
+    S: Capture,
+    F: FnOnce(&mut S, &mut EpochClock, Option<EpochHook<'_, S>>) -> Result<usize, AccessError>,
+{
+    let Some(every) = sink::epoch_len() else {
+        return run(sim, &mut EpochClock::default(), None);
+    };
+    let mut emitter = Emitter::start(counter);
+    let mut clock = EpochClock::new(every);
+    let mut hook = |sim: &S, epoch, accesses| emitter.emit(sim, epoch, accesses, None);
+    let replayed = run(sim, &mut clock, Some(&mut hook))?;
+    clock.close(sim, &mut hook);
+    Ok(replayed)
+}
+
+/// Replays `trace` — records, or a batch's `iter()` — through `cache`,
+/// emitting one snapshot per epoch to the installed sink (global, or
+/// this thread's local one).
 ///
 /// # Errors
 ///
 /// Propagates [`AccessError`] from the underlying replay.
-pub fn replay(cache: &mut CntCache, trace: &Trace) -> Result<usize, AccessError> {
-    let Some(every) = sink::epoch_len() else {
-        return cache.run(trace.iter());
-    };
-    let experiment = scope::next_replay_path();
-    sink::registry().counter("obs.replays_observed").inc();
-    let mut deltas = DeltaTracker::new();
-    cache.run_observed(trace.iter(), every, |cache, epoch, accesses| {
-        let mut snapshot = Snapshot::capture(cache, &experiment, epoch, accesses);
-        deltas.apply(&mut snapshot);
-        sink::record(snapshot);
+pub fn replay<I>(cache: &mut CntCache, trace: I) -> Result<usize, AccessError>
+where
+    I: IntoIterator,
+    I::Item: Borrow<MemoryAccess>,
+{
+    observe(cache, "obs.replays_observed", |cache, clock, hook| {
+        cache.run_observed(trace, clock, hook)
     })
 }
 
-/// Batched counterpart of [`replay`]: streams a struct-of-arrays
-/// [`AccessBatch`] through `cache`, emitting one snapshot per epoch to
-/// the global sink when tracing is enabled.
-///
-/// When the sink is disabled this delegates straight to the columnar
-/// [`CntCache::run_batch`] loop — the SIMD-friendly hot path of the
-/// throughput benchmark. The snapshot stream under an installed sink is
-/// byte-identical to [`replay`] over the same records.
-///
-/// # Errors
-///
-/// Propagates [`AccessError`] from the underlying replay.
-pub fn replay_batch(cache: &mut CntCache, batch: &AccessBatch) -> Result<usize, AccessError> {
-    let Some(every) = sink::epoch_len() else {
-        return cache.run_batch(batch);
-    };
-    let experiment = scope::next_replay_path();
-    sink::registry().counter("obs.replays_observed").inc();
-    let mut deltas = DeltaTracker::new();
-    cache.run_batch_observed(batch, every, |cache, epoch, accesses| {
-        let mut snapshot = Snapshot::capture(cache, &experiment, epoch, accesses);
-        deltas.apply(&mut snapshot);
-        sink::record(snapshot);
-    })
-}
-
-/// Replays `trace` through a full hierarchy, emitting one multi-level
-/// snapshot per epoch to the global sink when tracing is enabled — the
-/// hierarchy counterpart of [`replay`], used by the placement study.
+/// [`replay`] through a full hierarchy, one multi-level snapshot per
+/// epoch — used by the placement study.
 ///
 /// # Errors
 ///
 /// Propagates [`AccessError`] from the underlying replay.
 pub fn replay_hierarchy(hierarchy: &mut CntHierarchy, trace: &Trace) -> Result<usize, AccessError> {
-    let Some(every) = sink::epoch_len() else {
-        return hierarchy.run(trace.iter());
-    };
-    let experiment = scope::next_replay_path();
-    sink::registry()
-        .counter("obs.hierarchy_replays_observed")
-        .inc();
-    let mut deltas = DeltaTracker::new();
-    hierarchy.run_observed(trace.iter(), every, |hierarchy, epoch, accesses| {
-        let mut snapshot = Snapshot::capture_hierarchy(hierarchy, &experiment, epoch, accesses);
-        deltas.apply(&mut snapshot);
-        sink::record(snapshot);
-    })
-}
-
-/// Like [`replay`] but collecting into a caller-supplied buffer instead
-/// of the global sink — independent of process-wide state, so tests can
-/// run in parallel.
-///
-/// # Errors
-///
-/// Propagates [`AccessError`] from the underlying replay.
-///
-/// # Panics
-///
-/// Panics if `every` is zero.
-pub fn replay_into(
-    cache: &mut CntCache,
-    trace: &Trace,
-    experiment: &str,
-    every: u64,
-    out: &mut Vec<Snapshot>,
-) -> Result<usize, AccessError> {
-    let mut deltas = DeltaTracker::new();
-    cache.run_observed(trace.iter(), every, |cache, epoch, accesses| {
-        let mut snapshot = Snapshot::capture(cache, experiment, epoch, accesses);
-        deltas.apply(&mut snapshot);
-        out.push(snapshot);
-    })
+    observe(
+        hierarchy,
+        "obs.hierarchy_replays_observed",
+        |hierarchy, clock, hook| hierarchy.run_observed(trace.iter(), clock, hook),
+    )
 }
 
 /// A summary of a validated JSONL metrics stream.

@@ -1,12 +1,12 @@
 //! Epoch-boundary behaviour of the snapshot emitter.
 //!
-//! Uses `replay_into` (caller-supplied buffer) rather than the global
-//! sink, so the tests are independent of process-wide state and can run
-//! in parallel. The parallel-vs-sequential determinism of the *global*
-//! sink is covered by `crates/bench/tests/metrics_determinism.rs`.
+//! Each test installs a thread-local sink (`install_local`) rather than
+//! the global one, so the tests are independent of process-wide state
+//! and can run in parallel. The parallel-vs-sequential determinism of
+//! the *global* sink is covered by `crates/bench/tests/metrics_determinism.rs`.
 
-use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy};
-use cnt_obs::{replay_into, validate_jsonl, Snapshot};
+use cnt_cache::{CntCache, CntCacheConfig, CntHierarchy, CntHierarchyConfig, EncodingPolicy};
+use cnt_obs::{install_local, validate_jsonl, Snapshot};
 use cnt_sim::trace::{MemoryAccess, Trace};
 use cnt_sim::Address;
 
@@ -38,43 +38,69 @@ fn trace_of(n: u64) -> Trace {
 fn snapshots_for(accesses: u64, every: u64) -> Vec<Snapshot> {
     let mut cache = small_cache();
     let trace = trace_of(accesses);
-    let mut out = Vec::new();
-    let replayed =
-        replay_into(&mut cache, &trace, "test/r0000", every, &mut out).expect("replay succeeds");
+    let guard = install_local(every, None);
+    let replayed = cnt_obs::replay(&mut cache, &trace).expect("replay succeeds");
     assert_eq!(replayed as u64, accesses);
-    out
+    guard.finish()
+}
+
+/// The same replay through a three-level hierarchy.
+fn hierarchy_snapshots_for(accesses: u64, every: u64) -> Vec<Snapshot> {
+    let config = CntHierarchyConfig::typical(
+        EncodingPolicy::None,
+        EncodingPolicy::adaptive_default(),
+        EncodingPolicy::None,
+    )
+    .expect("valid hierarchy");
+    let mut hierarchy = CntHierarchy::new(config).expect("valid config");
+    let trace = trace_of(accesses);
+    let guard = install_local(every, None);
+    let replayed = cnt_obs::replay_hierarchy(&mut hierarchy, &trace).expect("replay succeeds");
+    assert_eq!(replayed as u64, accesses);
+    guard.finish()
+}
+
+/// Every input the epoch rule must hold for, with its level count.
+fn each_input(accesses: u64, every: u64) -> [(Vec<Snapshot>, usize); 2] {
+    [
+        (snapshots_for(accesses, every), 1),
+        (hierarchy_snapshots_for(accesses, every), 3),
+    ]
 }
 
 #[test]
 fn exact_multiple_emits_one_snapshot_per_epoch() {
-    let snapshots = snapshots_for(100, 25);
-    assert_eq!(snapshots.len(), 4, "100 accesses / 25 per epoch");
-    let seen: Vec<(u64, u64)> = snapshots.iter().map(|s| (s.epoch, s.accesses)).collect();
-    assert_eq!(seen, vec![(0, 25), (1, 50), (2, 75), (3, 100)]);
+    for (snapshots, _) in each_input(100, 25) {
+        assert_eq!(snapshots.len(), 4, "100 accesses / 25 per epoch");
+        let seen: Vec<(u64, u64)> = snapshots.iter().map(|s| (s.epoch, s.accesses)).collect();
+        assert_eq!(seen, vec![(0, 25), (1, 50), (2, 75), (3, 100)]);
+    }
 }
 
 #[test]
 fn trailing_partial_epoch_is_captured() {
-    let snapshots = snapshots_for(105, 25);
-    assert_eq!(snapshots.len(), 5, "four full epochs plus the remainder");
-    let last = snapshots.last().expect("non-empty");
-    assert_eq!((last.epoch, last.accesses), (4, 105));
+    for (snapshots, _) in each_input(105, 25) {
+        assert_eq!(snapshots.len(), 5, "four full epochs plus the remainder");
+        let last = snapshots.last().expect("non-empty");
+        assert_eq!((last.epoch, last.accesses), (4, 105));
+    }
 }
 
 #[test]
 fn zero_access_replay_still_emits_one_snapshot() {
-    let snapshots = snapshots_for(0, 25);
-    assert_eq!(snapshots.len(), 1);
-    let only = &snapshots[0];
-    assert_eq!((only.epoch, only.accesses), (0, 0));
-    assert_eq!(only.levels.len(), 1);
-    assert_eq!(only.levels[0].stats.accesses(), 0);
-    // An all-zero snapshot must serialize: no rate may be NaN. The
-    // optional ingest block is legitimately `null` for in-memory
-    // replays, so mask it before scanning for NaN-induced nulls.
-    let json = serde_json::to_string(only).expect("all-zero snapshot serializes");
-    let json = json.replace("\"ingest\":null", "\"ingest\":{}");
-    assert!(!json.contains("null"), "no non-finite floats: {json}");
+    for (snapshots, levels) in each_input(0, 25) {
+        assert_eq!(snapshots.len(), 1);
+        let only = &snapshots[0];
+        assert_eq!((only.epoch, only.accesses), (0, 0));
+        assert_eq!(only.levels.len(), levels);
+        assert!(only.levels.iter().all(|l| l.stats.accesses() == 0));
+        // An all-zero snapshot must serialize: no rate may be NaN. The
+        // optional ingest block is legitimately `null` for in-memory
+        // replays, so mask it before scanning for NaN-induced nulls.
+        let json = serde_json::to_string(only).expect("all-zero snapshot serializes");
+        let json = json.replace("\"ingest\":null", "\"ingest\":{}");
+        assert!(!json.contains("null"), "no non-finite floats: {json}");
+    }
 }
 
 #[test]
