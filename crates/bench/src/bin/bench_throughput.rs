@@ -9,7 +9,6 @@
 //!                  [--metrics-out FILE [--metrics-every N]]
 //! bench_throughput --stages [--iters N] [--warmup N] [--out PATH]
 //!                  [--baseline FILE] [--gate FILE]
-//! bench_throughput --ws [--jobs N] [--skew K] [--out PATH]
 //! ```
 //!
 //! Both passes run the identical (benchmark x policy) replay matrix —
@@ -38,27 +37,17 @@
 //! committed record and exits with code 3 when any stage drops more
 //! than 20% below its committed mean (CI treats 3 as a warning: shared
 //! runners are noisy; byte-identity breakage elsewhere stays fatal).
-//!
-//! With `--ws` the suite matrix is skew-injected — the first workload's
-//! replay is repeated `--skew` times inside its cell, a deliberate 10×
-//! straggler — and replayed once under the static scheduler and once
-//! under the work-stealing scheduler at the same `--jobs` cap. Both
-//! passes must produce identical energy reports (hard assertion); the
-//! wall-clock comparison goes to `BENCH_ws.json`. On a machine with ≥4
-//! cores at `--jobs ≥4` a work-stealing speedup below 1.5× exits with
-//! code 3, the same soft-gate convention as `--stages --gate`.
+//! `--iters`, `--warmup`, `--baseline` and `--gate` only apply to
+//! `--stages`; elsewhere they are rejected with exit code 2.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use cnt_bench::cli;
-use cnt_bench::pool::SchedulerKind;
-use cnt_bench::runner::{run_dcache, run_dcache_batch, run_dcache_matrix};
+use cnt_bench::runner::{run_dcache_batch, run_dcache_matrix};
 use cnt_bench::stream::run_dcache_stream;
-use cnt_bench::{
-    pool, BenchRecord, IterStats, PassRecord, SimdBenchRecord, StageRecord, WsBenchRecord,
-};
-use cnt_cache::{EncodingPolicy, EnergyReport};
+use cnt_bench::{pool, BenchRecord, IterStats, PassRecord, SimdBenchRecord, StageRecord};
+use cnt_cache::EncodingPolicy;
 use cnt_encoding::popcount::popcount_word_partitions;
 use cnt_encoding::{DirectionBits, DirectionPredictor, PredictorConfig, WindowSummary};
 use cnt_energy::BitEnergies;
@@ -74,11 +63,9 @@ fn main() -> ExitCode {
     let mut metrics_out: Option<String> = None;
     let mut metrics_every: Option<u64> = None;
     let mut stages = false;
-    let mut ws = false;
-    let mut skew = 10u32;
-    let mut iters = 5u32;
-    let mut warmup = 2u32;
-    let mut baseline_path = String::from("BENCH_parallel.json");
+    let mut iters: Option<u32> = None;
+    let mut warmup: Option<u32> = None;
+    let mut baseline_path: Option<String> = None;
     let mut gate_path: Option<String> = None;
     let mut workloads_pattern: Option<String> = None;
     let mut trace_dirs: Vec<String> = Vec::new();
@@ -92,15 +79,10 @@ fn main() -> ExitCode {
                 stages = true;
                 Ok(())
             }
-            "--ws" => {
-                ws = true;
-                Ok(())
-            }
-            "--skew" => cli::positive_int_flag(&mut iter, "--skew").map(|n| skew = n),
-            "--iters" => cli::positive_int_flag(&mut iter, "--iters").map(|n| iters = n),
-            "--warmup" => cli::int_flag(&mut iter, "--warmup").map(|n| warmup = n),
+            "--iters" => cli::positive_int_flag(&mut iter, "--iters").map(|n| iters = Some(n)),
+            "--warmup" => cli::int_flag(&mut iter, "--warmup").map(|n| warmup = Some(n)),
             "--baseline" => {
-                cli::flag_value(&mut iter, "--baseline").map(|p| baseline_path = p.into())
+                cli::flag_value(&mut iter, "--baseline").map(|p| baseline_path = Some(p.into()))
             }
             "--gate" => cli::flag_value(&mut iter, "--gate").map(|p| gate_path = Some(p.into())),
             "--workloads" => cli::flag_value(&mut iter, "--workloads")
@@ -119,8 +101,7 @@ fn main() -> ExitCode {
                      [--workloads GLOB] [--trace-dir DIR]... \
                      [--metrics-out FILE [--metrics-every N]]\n       \
                      bench_throughput --stages [--iters N] [--warmup N] [--out PATH] \
-                     [--baseline FILE] [--gate FILE]\n       \
-                     bench_throughput --ws [--jobs N] [--skew K] [--out PATH]"
+                     [--baseline FILE] [--gate FILE]"
                 );
                 eprintln!("error: unknown argument `{other}`");
                 return ExitCode::from(2);
@@ -140,30 +121,32 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     if stages {
-        if trace_path.is_some() || metrics_out.is_some() || ws || registry_flags {
+        if trace_path.is_some() || metrics_out.is_some() || registry_flags {
             eprintln!(
-                "error: --stages cannot be combined with --trace, --metrics-out, --ws, \
+                "error: --stages cannot be combined with --trace, --metrics-out, \
                  --workloads, or --trace-dir"
             );
             return ExitCode::from(2);
         }
         let out = out_path.unwrap_or_else(|| String::from("BENCH_simd.json"));
-        return run_stage_suite(&out, iters, warmup, &baseline_path, gate_path.as_deref());
+        let baseline_path = baseline_path.unwrap_or_else(|| String::from("BENCH_parallel.json"));
+        return run_stage_suite(
+            &out,
+            iters.unwrap_or(5),
+            warmup.unwrap_or(2),
+            &baseline_path,
+            gate_path.as_deref(),
+        );
     }
-    if gate_path.is_some() {
-        eprintln!("error: --gate only applies to --stages runs");
+    let stage_only = [
+        ("--iters", iters.is_some()),
+        ("--warmup", warmup.is_some()),
+        ("--baseline", baseline_path.is_some()),
+        ("--gate", gate_path.is_some()),
+    ];
+    if let Some((flag, _)) = stage_only.iter().find(|(_, given)| *given) {
+        eprintln!("error: {flag} only applies to --stages runs");
         return ExitCode::from(2);
-    }
-    if ws {
-        if trace_path.is_some() || metrics_out.is_some() || registry_flags {
-            eprintln!(
-                "error: --ws cannot be combined with --trace, --metrics-out, --workloads, \
-                 or --trace-dir"
-            );
-            return ExitCode::from(2);
-        }
-        let out = out_path.unwrap_or_else(|| String::from("BENCH_ws.json"));
-        return run_ws_suite(&out, jobs, skew);
     }
     let out_path = out_path.unwrap_or_else(|| String::from("BENCH_parallel.json"));
     if metrics_out.is_some() {
@@ -373,137 +356,6 @@ const GATE_TOLERANCE: f64 = 0.20;
 /// Exit code for a perf-gate violation — distinct from hard failures so
 /// CI can downgrade it to a warning on noisy shared runners.
 const GATE_EXIT: u8 = 3;
-
-/// Work-stealing soft-gate floor: on ≥4 real cores at `--jobs ≥4`, the
-/// skew-injected matrix must run at least this much faster under the
-/// work-stealing engine than under the static engine.
-const WS_GATE_SPEEDUP: f64 = 1.5;
-
-/// The `--ws` mode: the suite matrix with one deliberately skewed
-/// workload, replayed under both scheduling engines.
-///
-/// The skewed cell replays its trace `skew` times, so under the static
-/// engine the whole pass degenerates to roughly the straggler's serial
-/// time (its nested fan-out finds the budget exhausted and stays
-/// sequential, while the finished workers' slots sit idle until the
-/// outer join). The work-stealing engine releases budget incrementally
-/// and recruits mid-flight, so the straggler's inner replays spread over
-/// the freed threads.
-fn run_ws_suite(out_path: &str, jobs: usize, skew: u32) -> ExitCode {
-    let cores = pool::default_jobs();
-    let workloads = cnt_workloads::suite();
-    let policies = [EncodingPolicy::None, EncodingPolicy::adaptive_default()];
-    // (workload index, replay repetitions): workload 0 is the straggler.
-    let cells: Vec<(usize, u32)> = (0..workloads.len())
-        .map(|w| (w, if w == 0 { skew } else { 1 }))
-        .collect();
-    let accesses_per_pass: u64 = cells
-        .iter()
-        .map(|&(w, reps)| workloads[w].trace.len() as u64 * policies.len() as u64 * u64::from(reps))
-        .sum();
-
-    // One pass = outer fan-out over cells, nested fan-out over each
-    // cell's (policy × repetition) replays. Reports come back in
-    // deterministic (cell, policy, repetition) order for the
-    // scheduler-identity assertion below.
-    let run_pass = || -> Vec<EnergyReport> {
-        pool::par_map(&cells, |&(w, reps)| {
-            let replays: Vec<usize> = (0..policies.len() * reps as usize).collect();
-            pool::par_map(&replays, |&r| {
-                run_dcache(policies[r % policies.len()], &workloads[w].trace)
-            })
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
-
-    let measure = |label: &str, kind: SchedulerKind| -> (PassRecord, Vec<EnergyReport>) {
-        pool::set_scheduler(kind);
-        pool::set_jobs(jobs);
-        let _pass = cnt_obs::scoped(label);
-        {
-            let _warmup = cnt_obs::scoped("warmup");
-            let _ = run_pass();
-        }
-        let _measured = cnt_obs::scoped("measured");
-        let start = Instant::now();
-        let reports = run_pass();
-        let wall = start.elapsed().as_secs_f64();
-        let record = PassRecord {
-            jobs,
-            wall_seconds: wall,
-            accesses_per_second: if wall > 0.0 {
-                accesses_per_pass as f64 / wall
-            } else {
-                0.0
-            },
-            iters: 1,
-            warmup: 1,
-        };
-        (record, reports)
-    };
-
-    eprintln!(
-        "skew-injected matrix: workload `{}` x{skew}, {} workloads x {} policies, --jobs {jobs}",
-        workloads[0].name,
-        workloads.len(),
-        policies.len()
-    );
-    eprintln!("replaying under the static scheduler...");
-    let (static_pass, static_reports) = measure("ws-static", SchedulerKind::Static);
-    eprintln!("  {:.3} s", static_pass.wall_seconds);
-    eprintln!("replaying under the work-stealing scheduler...");
-    let (ws_pass, ws_reports) = measure("ws-steal", SchedulerKind::WorkStealing);
-    eprintln!("  {:.3} s", ws_pass.wall_seconds);
-    pool::set_scheduler(SchedulerKind::WorkStealing);
-    assert_eq!(
-        static_reports, ws_reports,
-        "both schedulers must produce identical energy reports"
-    );
-
-    let record = WsBenchRecord {
-        cores,
-        jobs,
-        skew,
-        workloads: workloads.len(),
-        policies_per_workload: policies.len(),
-        accesses_per_pass,
-        static_pass,
-        ws_pass,
-        skip_note: scaling_skip_note(cores),
-    };
-    println!(
-        "work-stealing speedup over static: {:.2}x at --jobs {} on {} core(s)",
-        record.speedup(),
-        record.jobs,
-        record.cores
-    );
-    let json = serde_json::to_string_pretty(&record).expect("record serialises");
-    if let Err(e) = std::fs::write(out_path, json + "\n") {
-        eprintln!("error: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-
-    if cores < 4 || jobs < 4 {
-        println!(
-            "ws-gate: skipped ({cores} core(s), --jobs {jobs}; the gate needs at least 4 of both)"
-        );
-    } else if record.speedup() < WS_GATE_SPEEDUP {
-        eprintln!(
-            "ws-gate: {:.2}x is below the {WS_GATE_SPEEDUP}x floor on {cores} cores",
-            record.speedup()
-        );
-        return ExitCode::from(GATE_EXIT);
-    } else {
-        println!(
-            "ws-gate: {:.2}x meets the {WS_GATE_SPEEDUP}x floor",
-            record.speedup()
-        );
-    }
-    ExitCode::SUCCESS
-}
 
 /// `splitmix64` step: cheap, deterministic, well-mixed test data.
 fn splitmix64(state: &mut u64) -> u64 {

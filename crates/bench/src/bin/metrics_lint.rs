@@ -10,8 +10,7 @@
 //! Files ending in `.json` are linted as single benchmark records —
 //! the sequential-vs-parallel `BenchRecord` shape (old records without
 //! the `iters`/`warmup` iteration fields still parse), the `--stages`
-//! `SimdBenchRecord` shape, the `--ws` scheduler-comparison
-//! `WsBenchRecord` shape, the replay-service `ServeBenchRecord`
+//! `SimdBenchRecord` shape, the replay-service `ServeBenchRecord`
 //! shape, the per-workload baseline `WorkloadBenchRecord` shape
 //! (sorted rows, balanced read/write arithmetic, recomputed saving
 //! column), or a `tracegen import --report` `ImportReport` (balanced
@@ -38,9 +37,7 @@
 
 use std::process::ExitCode;
 
-use cnt_bench::{
-    BenchRecord, ServeBenchRecord, SimdBenchRecord, StageRecord, WorkloadBenchRecord, WsBenchRecord,
-};
+use cnt_bench::{BenchRecord, ServeBenchRecord, SimdBenchRecord, StageRecord, WorkloadBenchRecord};
 use cnt_import::ImportReport;
 
 fn check_rate(what: &str, rate: f64) -> Result<(), String> {
@@ -242,27 +239,6 @@ fn lint_bench_record(text: &str) -> Result<String, String> {
             "ok — {} stages, best {:.1}x over baseline",
             record.stages.len(),
             record.best_speedup()
-        ));
-    }
-    if let Ok(record) = serde_json::from_str::<WsBenchRecord>(text) {
-        check_rate("static pass", record.static_pass.accesses_per_second)?;
-        check_rate("work-stealing pass", record.ws_pass.accesses_per_second)?;
-        if record.skew == 0 {
-            return Err("ws record with zero skew (no straggler was injected)".into());
-        }
-        if record.static_pass.jobs != record.jobs || record.ws_pass.jobs != record.jobs {
-            return Err(format!(
-                "ws record claims --jobs {} but passes ran with {} and {}",
-                record.jobs, record.static_pass.jobs, record.ws_pass.jobs
-            ));
-        }
-        check_jobs_vs_cores("ws comparison", record.jobs, record.cores)?;
-        return Ok(format!(
-            "ok — skew x{}, {:.2}x work-stealing speedup at --jobs {} on {} core(s)",
-            record.skew,
-            record.speedup(),
-            record.jobs,
-            record.cores
         ));
     }
     if let Ok(record) = serde_json::from_str::<ServeBenchRecord>(text) {

@@ -22,9 +22,8 @@ pub mod pool;
 pub mod record;
 pub mod runner;
 pub mod stream;
-pub mod ws;
 
 pub use record::{
     BenchRecord, IterStats, PassRecord, ServeBenchRecord, SimdBenchRecord, StageRecord,
-    WorkloadBenchRecord, WorkloadRow, WsBenchRecord,
+    WorkloadBenchRecord, WorkloadRow,
 };

@@ -1,4 +1,4 @@
-//! A deterministic work-stealing thread pool.
+//! A deterministic, budgeted thread pool for the replay matrix.
 //!
 //! The harness originally targeted `rayon`, but this workspace vendors
 //! every dependency, so the primitives the runner needs are implemented
@@ -15,28 +15,25 @@
 //!
 //! ## Scheduling
 //!
-//! Two engines share the budget and the determinism contract:
+//! Participants (the caller plus any spawned workers) claim element
+//! indices from one shared atomic counter. Two properties keep a
+//! straggling element from stranding the threads its siblings finish
+//! with:
 //!
-//! * [`SchedulerKind::WorkStealing`] (the default) — each participant
-//!   owns a Chase-Lev deque ([`crate::ws`]) pre-loaded with a contiguous
-//!   block of indices. Participants drain their own deque LIFO and steal
-//!   FIFO from the others when empty. Two properties fix the straggler
-//!   problem the static pool had:
+//! 1. **Incremental budget release** — a spawned worker returns its
+//!    budget slot the moment no index is left to claim (not when the
+//!    whole fan-out joins), so a straggler's *nested* `par_map` can
+//!    reserve the threads its finished siblings just gave back.
+//! 2. **Recruitment** — between elements, a running fan-out that still
+//!    has unclaimed indices polls the budget and spawns one more worker
+//!    when a slot is free, so freed capacity flows to whichever fan-out
+//!    still has work.
 //!
-//!   1. **Incremental budget release** — a worker returns its budget slot
-//!      the moment no stealable work remains (not when the whole fan-out
-//!      joins), so a straggling element's *nested* `par_map` can reserve
-//!      threads its finished siblings just gave back.
-//!   2. **Dynamic recruitment** — between elements, a running fan-out
-//!      polls the budget and spawns additional stealing workers when
-//!      slots have become available, so freed capacity flows to whichever
-//!      fan-out still has queued work.
+//! An exhausted budget therefore does not make a fan-out sequential: the
+//! caller runs the claim loop alone and recruits as slots free up. Only
+//! `--jobs 1` and single-element fan-outs take the plain sequential loop.
 //!
-//! * [`SchedulerKind::Static`] — the original shared-counter work-sharing
-//!   engine, kept as the comparison baseline for `bench_throughput --ws`
-//!   and as a differential-testing oracle.
-//!
-//! Determinism is scheduler-independent: execution order is free, but
+//! Determinism is schedule-independent: execution order is free, but
 //! results are merged back into submission order and every element runs
 //! inside the same observability scopes (`scoped_fanout` numbered on the
 //! caller in program order, `scoped_index(i)` per element, workers adopt
@@ -49,49 +46,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::Scope;
 
-use crate::ws;
-
 /// Extra worker threads available globally, beyond every `par_map`'s
 /// caller thread. `jobs - 1` for a `--jobs N` run.
 static BUDGET: AtomicUsize = AtomicUsize::new(0);
 /// Whether [`set_jobs`] has been called; before that, [`jobs`] reports
 /// the detected parallelism without reserving it.
 static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
-/// Which engine [`par_map`] dispatches to; see [`SchedulerKind`].
-static SCHEDULER: AtomicUsize = AtomicUsize::new(SCHED_WS);
-
-const SCHED_WS: usize = 0;
-const SCHED_STATIC: usize = 1;
-
-/// Which scheduling engine [`par_map`] uses. Both engines observe the
-/// same global budget and produce byte-identical results; they differ
-/// only in how execution is distributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Chase-Lev deques with incremental budget release and dynamic
-    /// recruitment (the default).
-    WorkStealing,
-    /// The original shared-counter static fan-out (baseline/oracle).
-    Static,
-}
-
-/// Selects the engine used by subsequent [`par_map`] calls.
-pub fn set_scheduler(kind: SchedulerKind) {
-    let v = match kind {
-        SchedulerKind::WorkStealing => SCHED_WS,
-        SchedulerKind::Static => SCHED_STATIC,
-    };
-    SCHEDULER.store(v, Ordering::SeqCst);
-}
-
-/// The currently selected scheduling engine.
-#[must_use]
-pub fn scheduler() -> SchedulerKind {
-    match SCHEDULER.load(Ordering::SeqCst) {
-        SCHED_STATIC => SchedulerKind::Static,
-        _ => SchedulerKind::WorkStealing,
-    }
-}
 
 /// Sets the global concurrency level: at most `jobs` threads (including
 /// callers) ever run simultaneously across all nested [`par_map`] calls.
@@ -127,42 +87,29 @@ pub fn available_budget() -> usize {
     BUDGET.load(Ordering::SeqCst)
 }
 
-/// Tries to reserve `want` extra worker threads from the global budget;
-/// returns how many were actually reserved (possibly 0). Never blocks,
-/// so nested calls cannot deadlock.
-fn reserve(want: usize) -> usize {
+/// Takes one extra-worker slot from the global budget, or `None` when
+/// the budget is exhausted. Never blocks, so nested calls cannot
+/// deadlock.
+fn reserve() -> Option<BudgetSlot> {
     if CONFIGURED.load(Ordering::SeqCst) == 0 {
         // Not configured: take the lazy default once.
         set_jobs(default_jobs());
     }
-    let mut granted = 0;
-    while granted < want {
-        let current = BUDGET.load(Ordering::SeqCst);
-        if current == 0 {
-            break;
-        }
-        if BUDGET
-            .compare_exchange(current, current - 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            granted += 1;
-        }
-    }
-    granted
+    BUDGET
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |free| {
+            free.checked_sub(1)
+        })
+        .ok()
+        .map(|_| BudgetSlot)
 }
 
-/// Returns reserved worker threads to the global budget.
-fn release(count: usize) {
-    BUDGET.fetch_add(count, Ordering::SeqCst);
-}
-
-/// Returns one budget slot on drop, so a worker's reservation survives
-/// neither its exit nor an unwind.
+/// One reserved budget slot, returned on drop, so a worker's reservation
+/// survives neither its exit nor an unwind.
 struct BudgetSlot;
 
 impl Drop for BudgetSlot {
     fn drop(&mut self) {
-        release(1);
+        BUDGET.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -178,29 +125,62 @@ impl Drop for BudgetSlot {
 /// scope; worker threads adopt the caller's scope path first. Replay ids
 /// minted inside `f` are therefore pure functions of call site and
 /// element index — identical whether the element ran on the caller, a
-/// worker, a mid-flight recruit, or the sequential fallback path.
-///
-/// Dispatches to the engine selected by [`set_scheduler`];
-/// [`SchedulerKind::WorkStealing`] unless overridden.
+/// worker, a mid-flight recruit, or the sequential path.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    match scheduler() {
-        SchedulerKind::WorkStealing => par_map_ws(items, f),
-        SchedulerKind::Static => par_map_static(items, f),
+    let n = items.len();
+    if n == 0 {
+        return Vec::new();
     }
+    // Fan-out scope first: it is numbered in program order on the caller
+    // thread, so it must exist before any path decisions are made.
+    let _fanout = cnt_obs::scoped_fanout();
+    if jobs() == 1 || n == 1 {
+        // `--jobs 1` is contractually sequential, and a single-element
+        // fan-out has nothing to distribute.
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                let _scope = cnt_obs::scoped_index(i);
+                f(item)
+            })
+            .collect();
+    }
+    let ctx = Ctx {
+        items,
+        f: &f,
+        next: AtomicUsize::new(0),
+        results: Mutex::new(Vec::with_capacity(n)),
+        panic: Mutex::new(None),
+        abort: AtomicBool::new(false),
+        forked: cnt_obs::fork(),
+    };
+    // The caller claims first, so element 0 always runs on the calling
+    // thread, and workers only ever join by recruitment. The caller holds
+    // no budget slot (the budget counts threads *beyond* callers). An
+    // exhausted budget does not make the fan-out sequential: the caller
+    // keeps recruiting as siblings release their slots.
+    std::thread::scope(|scope| participant(scope, &ctx, None));
+
+    if let Some(payload) = ctx.panic.into_inner().unwrap_or_else(|p| p.into_inner()) {
+        std::panic::resume_unwind(payload);
+    }
+    let pairs = ctx.results.into_inner().unwrap_or_else(|p| p.into_inner());
+    merge(n, pairs)
 }
 
-/// Shared state of one work-stealing fan-out. Lives on the calling
-/// thread's stack, borrowed by every participant.
+/// Shared state of one fan-out. Lives on the calling thread's stack,
+/// borrowed by every participant.
 struct Ctx<'a, T, R, F> {
     items: &'a [T],
     f: &'a F,
-    /// Thief ends of every participant's deque, in party order.
-    stealers: Vec<ws::Stealer>,
+    /// The next unclaimed index; values `>= items.len()` mean drained.
+    next: AtomicUsize,
     /// Completed `(index, result)` pairs, in completion order; merged
     /// back into submission order after the scope joins.
     results: Mutex<Vec<(usize, R)>>,
@@ -208,35 +188,52 @@ struct Ctx<'a, T, R, F> {
     panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
     /// Set on the first panic; participants stop claiming work.
     abort: AtomicBool,
-    /// Elements still queued (claimed-but-running elements excluded);
-    /// the recruitment heuristic only, never a termination condition.
-    queued: AtomicUsize,
-    /// The caller's scope path for workers/recruits to adopt.
+    /// The caller's scope path for workers to adopt.
     forked: cnt_obs::ScopeStack,
 }
 
-/// One scheduling participant: drains `own` LIFO, then steals FIFO from
-/// the other parties' deques (ring order from `ring_start`), recruiting
-/// extra workers whenever budget frees up while work is still queued.
+impl<T, R, F> Ctx<'_, T, R, F> {
+    /// Whether any index is still unclaimed (and the fan-out is live).
+    fn has_unclaimed(&self) -> bool {
+        !self.abort.load(Ordering::SeqCst) && self.next.load(Ordering::SeqCst) < self.items.len()
+    }
+
+    /// Claims the next index, or `None` once the counter is drained (or
+    /// the fan-out aborted).
+    fn claim(&self) -> Option<usize> {
+        if self.abort.load(Ordering::SeqCst) {
+            return None;
+        }
+        let index = self.next.fetch_add(1, Ordering::SeqCst);
+        (index < self.items.len()).then_some(index)
+    }
+}
+
+/// One scheduling participant: claims indices until the counter is
+/// drained, recruiting one more worker after each claim while indices
+/// remain and the global budget has a free slot (freed e.g. by a sibling
+/// fan-out that finished early). Recruits adopt the fan-out's scope
+/// path, so replay ids stay index-determined on any thread.
 ///
-/// Initial workers own a pre-loaded deque; mid-flight recruits run
-/// steal-only (`own = None`). `budget` is the slot this participant
-/// holds, returned to the pool the moment it runs out of work — which is
-/// what lets a straggler's nested fan-out pick the slot up.
+/// `budget` is the slot this participant holds, returned to the pool the
+/// moment it runs out of work — which is what lets a straggler's nested
+/// fan-out pick the slot up.
 fn participant<'scope, T, R, F>(
     scope: &'scope Scope<'scope, '_>,
     ctx: &'scope Ctx<'scope, T, R, F>,
-    own: Option<ws::Worker>,
-    ring_start: usize,
-    mut budget: Option<BudgetSlot>,
+    budget: Option<BudgetSlot>,
 ) where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    while let Some(index) = claim(ctx, own.as_ref(), ring_start) {
-        ctx.queued.fetch_sub(1, Ordering::SeqCst);
-        maybe_recruit(scope, ctx, index % ctx.stealers.len());
+    while let Some(index) = ctx.claim() {
+        if let Some(slot) = ctx.has_unclaimed().then(reserve).flatten() {
+            scope.spawn(move || {
+                let _adopted = cnt_obs::adopt(&ctx.forked);
+                participant(scope, ctx, Some(slot));
+            });
+        }
         let _scope = cnt_obs::scoped_index(index);
         match catch_unwind(AssertUnwindSafe(|| (ctx.f)(&ctx.items[index]))) {
             Ok(result) => {
@@ -252,233 +249,7 @@ fn participant<'scope, T, R, F>(
     }
     // Explicit for emphasis: the slot goes back *now*, while siblings may
     // still be running, not when the fan-out joins.
-    drop(budget.take());
-}
-
-/// Claims the next element for a participant, or `None` when every deque
-/// is empty (or the fan-out aborted).
-fn claim<T, R, F>(
-    ctx: &Ctx<'_, T, R, F>,
-    own: Option<&ws::Worker>,
-    ring_start: usize,
-) -> Option<usize> {
-    loop {
-        if ctx.abort.load(Ordering::SeqCst) {
-            return None;
-        }
-        if let Some(deque) = own {
-            if let Some(index) = deque.pop() {
-                return Some(index);
-            }
-        }
-        let parties = ctx.stealers.len();
-        let mut contended = false;
-        for offset in 0..parties {
-            match ctx.stealers[(ring_start + offset) % parties].steal() {
-                ws::Steal::Success(index) => return Some(index),
-                ws::Steal::Retry => contended = true,
-                ws::Steal::Empty => {}
-            }
-        }
-        if !contended {
-            // Every deque observed empty with no lost race: done.
-            return None;
-        }
-        std::hint::spin_loop();
-    }
-}
-
-/// Spawns one extra stealing worker if elements are still queued and the
-/// global budget has a free slot (freed e.g. by a sibling fan-out that
-/// finished early). Recruits adopt the fan-out's scope path, so replay
-/// ids stay index-determined.
-fn maybe_recruit<'scope, T, R, F>(
-    scope: &'scope Scope<'scope, '_>,
-    ctx: &'scope Ctx<'scope, T, R, F>,
-    ring_start: usize,
-) where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if ctx.queued.load(Ordering::SeqCst) == 0 || ctx.abort.load(Ordering::SeqCst) {
-        return;
-    }
-    if reserve(1) == 0 {
-        return;
-    }
-    let slot = BudgetSlot;
-    scope.spawn(move || {
-        let _adopted = cnt_obs::adopt(&ctx.forked);
-        participant(scope, ctx, None, ring_start, Some(slot));
-    });
-}
-
-/// The work-stealing engine behind [`par_map`].
-fn par_map_ws<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // Fan-out scope first: it is numbered in program order on the caller
-    // thread, so it must exist before any path decisions are made.
-    let _fanout = cnt_obs::scoped_fanout();
-    if jobs() == 1 || n == 1 {
-        // `--jobs 1` is contractually sequential, and a single-element
-        // fan-out has nothing to distribute: skip the deque machinery.
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let _scope = cnt_obs::scoped_index(i);
-                f(item)
-            })
-            .collect();
-    }
-    // One slot per remaining element is the most extra threads that can
-    // ever be useful (the caller takes one element itself). Unlike the
-    // static engine, an exhausted budget (`workers == 0`) does NOT force
-    // this fan-out sequential for its whole lifetime: the caller still
-    // runs the deque loop alone and recruits between elements, so budget
-    // released mid-flight by sibling fan-outs flows here. This is the
-    // case a straggling element's nested fan-out hits.
-    let workers = reserve(n.saturating_sub(1));
-    let parties = workers + 1;
-    let mut owners = Vec::with_capacity(parties);
-    let mut stealers = Vec::with_capacity(parties);
-    for _ in 0..parties {
-        // Nobody pushes after setup (recruits never push at all), so a
-        // deque never holds more than its initial block.
-        let (owner, stealer) = ws::deque(n.div_ceil(parties));
-        owners.push(owner);
-        stealers.push(stealer);
-    }
-    // Pre-load party `p` with the contiguous block [p·n/P, (p+1)·n/P),
-    // pushed in reverse so the owner's LIFO pop sees ascending indices.
-    // All pushes happen before any worker is spawned, so every deque is
-    // fully published by the spawn's happens-before edge.
-    for (p, owner) in owners.iter().enumerate() {
-        let lo = p * n / parties;
-        let hi = (p + 1) * n / parties;
-        for i in (lo..hi).rev() {
-            owner.push(i);
-        }
-    }
-
-    let ctx = Ctx {
-        items,
-        f: &f,
-        stealers,
-        results: Mutex::new(Vec::with_capacity(n)),
-        panic: Mutex::new(None),
-        abort: AtomicBool::new(false),
-        queued: AtomicUsize::new(n),
-        forked: cnt_obs::fork(),
-    };
-    let mut owners = owners.into_iter();
-    let caller_deque = owners.next().expect("parties >= 1");
-    std::thread::scope(|scope| {
-        for (offset, owner) in owners.enumerate() {
-            let ctx = &ctx;
-            let slot = BudgetSlot;
-            scope.spawn(move || {
-                let _adopted = cnt_obs::adopt(&ctx.forked);
-                participant(scope, ctx, Some(owner), offset + 1, Some(slot));
-            });
-        }
-        // The caller participates too; it holds no budget slot (the
-        // budget counts threads *beyond* callers).
-        participant(scope, &ctx, Some(caller_deque), 0, None);
-    });
-
-    if let Some(payload) = ctx.panic.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        std::panic::resume_unwind(payload);
-    }
-    let pairs = ctx.results.into_inner().unwrap_or_else(|p| p.into_inner());
-    merge(n, pairs)
-}
-
-/// The original static work-sharing engine: workers pull indices from a
-/// shared atomic counter and the budget is held until the whole fan-out
-/// joins. Kept as the `bench_throughput --ws` baseline and as a
-/// differential-testing oracle for the work-stealing engine.
-pub fn par_map_static<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let _fanout = cnt_obs::scoped_fanout();
-    let workers = reserve(n.saturating_sub(1));
-    if workers == 0 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let _scope = cnt_obs::scoped_index(i);
-                f(item)
-            })
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let forked = cnt_obs::fork();
-    // Each thread claims indices from the shared counter and collects
-    // (index, result) pairs locally; pairs are merged back into input
-    // order afterwards.
-    let pull = || {
-        let mut local = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let _scope = cnt_obs::scoped_index(i);
-            local.push((i, f(&items[i])));
-        }
-        local
-    };
-    // Workers adopt the caller's scope path; the caller already has it
-    // (adopting would reset its in-progress replay counters).
-    let worker = || {
-        let _adopted = cnt_obs::adopt(&forked);
-        pull()
-    };
-    let result = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-        // The caller participates too. Its panic must be deferred like a
-        // worker's: unwinding straight out of `thread::scope` would skip
-        // the `release` below and leak the reserved budget.
-        let (mut pairs, mut panicked) = match catch_unwind(AssertUnwindSafe(&pull)) {
-            Ok(pairs) => (pairs, None),
-            Err(panic) => (Vec::new(), Some(panic)),
-        };
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => pairs.extend(local),
-                Err(panic) => panicked = Some(panic),
-            }
-        }
-        match panicked {
-            Some(panic) => Err(panic),
-            None => Ok(pairs),
-        }
-    });
-    release(workers);
-    let pairs = match result {
-        Ok(pairs) => pairs,
-        Err(panic) => std::panic::resume_unwind(panic),
-    };
-    merge(n, pairs)
+    drop(budget);
 }
 
 /// Restores submission order: scatters completion-ordered pairs into
@@ -546,28 +317,11 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_agree() {
-        set_jobs(4);
-        let items: Vec<u64> = (0..257).collect();
-        let ws = par_map_ws(&items, |&x| x.wrapping_mul(x) ^ 0xA5);
-        let stat = par_map_static(&items, |&x| x.wrapping_mul(x) ^ 0xA5);
-        assert_eq!(ws, stat);
-    }
-
-    #[test]
-    fn scheduler_kind_round_trips() {
-        set_scheduler(SchedulerKind::Static);
-        assert_eq!(scheduler(), SchedulerKind::Static);
-        set_scheduler(SchedulerKind::WorkStealing);
-        assert_eq!(scheduler(), SchedulerKind::WorkStealing);
-    }
-
-    #[test]
     fn uneven_elements_all_complete() {
         set_jobs(4);
         let items: Vec<u64> = (0..64).collect();
-        // One element much slower than the rest: thieves must drain the
-        // straggler's pre-loaded block.
+        // One element much slower than the rest: the other participants
+        // must claim everything else past it.
         let out = par_map(&items, |&x| {
             if x == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));

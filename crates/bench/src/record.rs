@@ -68,53 +68,6 @@ impl BenchRecord {
     }
 }
 
-/// The scheduler comparison written to `BENCH_ws.json` by
-/// `bench_throughput --ws`: the experiments-matrix shape with one
-/// deliberately skewed (N×-repeated) workload, replayed under the
-/// static engine and the work-stealing engine at the same `--jobs`
-/// setting. Both passes must produce identical energy reports — the
-/// record only exists if they did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WsBenchRecord {
-    /// Hardware threads the machine reported at measurement time
-    /// (`pool::default_jobs()`). Scheduler speedups measured with
-    /// `jobs > cores` are unreliable and flagged by `metrics_lint`.
-    pub cores: usize,
-    /// The `--jobs` cap both passes ran under.
-    pub jobs: usize,
-    /// How many times the skewed workload's replay is repeated inside
-    /// its matrix cell (the deliberate straggler).
-    pub skew: u32,
-    /// Workloads in the matrix (including the skewed one).
-    pub workloads: usize,
-    /// Encoding policies replayed per workload.
-    pub policies_per_workload: usize,
-    /// Trace accesses replayed per pass, counting skew repetitions.
-    pub accesses_per_pass: u64,
-    /// The pass under [`crate::pool::SchedulerKind::Static`].
-    pub static_pass: PassRecord,
-    /// The pass under [`crate::pool::SchedulerKind::WorkStealing`].
-    pub ws_pass: PassRecord,
-    /// Why the numbers should not be read as a parallel-scaling claim —
-    /// set automatically when the measuring box has fewer than 4 cores,
-    /// `null`/absent on a real multi-core measurement.
-    #[serde(default)]
-    pub skip_note: Option<String>,
-}
-
-impl WsBenchRecord {
-    /// Static wall-clock divided by work-stealing wall-clock (>1 means
-    /// stealing won), or `0.0` for a degenerate zero-length pass.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.ws_pass.wall_seconds > 0.0 {
-            self.static_pass.wall_seconds / self.ws_pass.wall_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The trace-replay service comparison written to `BENCH_serve.json` by
 /// `bench_serve`: the same batch of sessions shipped to a `cnt-serve`
 /// instance one at a time (serial) and all at once (concurrent). The
@@ -397,25 +350,6 @@ mod tests {
         };
         let json = serde_json::to_string_pretty(&record).expect("serialises");
         let back: WorkloadBenchRecord = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, record);
-    }
-
-    #[test]
-    fn ws_record_round_trips_and_compares_engines() {
-        let record = WsBenchRecord {
-            cores: 4,
-            jobs: 4,
-            skew: 10,
-            workloads: 8,
-            policies_per_workload: 2,
-            accesses_per_pass: 50_000,
-            static_pass: pass(4, 3.0),
-            ws_pass: pass(4, 1.5),
-            skip_note: None,
-        };
-        assert!((record.speedup() - 2.0).abs() < 1e-12);
-        let json = serde_json::to_string_pretty(&record).expect("serialises");
-        let back: WsBenchRecord = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, record);
     }
 

@@ -1,4 +1,4 @@
-//! Stress tests for the global pool budget and both scheduling engines.
+//! Stress tests for the global pool budget and the scheduler.
 //!
 //! These tests assert on [`pool::available_budget`], a process-global
 //! counter, so they must not overlap with each other (or any other
@@ -6,11 +6,13 @@
 //! library's unit tests run in a separate binary, so they cannot
 //! interfere.
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
-use cnt_bench::pool::{self, SchedulerKind};
+use cnt_bench::pool;
 use cnt_bench::stream::replay_stream;
 use cnt_cache::{CntCache, EncodingPolicy};
 use cnt_sim::trace::{MemoryAccess, Trace};
@@ -30,91 +32,109 @@ struct Restore;
 
 impl Drop for Restore {
     fn drop(&mut self) {
-        pool::set_scheduler(SchedulerKind::WorkStealing);
         pool::set_jobs(pool::default_jobs());
     }
-}
-
-fn engines() -> [SchedulerKind; 2] {
-    [SchedulerKind::WorkStealing, SchedulerKind::Static]
 }
 
 #[test]
 fn budget_is_restored_after_worker_panic() {
     let (_guard, _restore) = lock();
-    for kind in engines() {
-        pool::set_scheduler(kind);
-        pool::set_jobs(4);
-        assert_eq!(pool::available_budget(), 3, "fresh budget ({kind:?})");
-        let items: Vec<usize> = (0..64).collect();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool::par_map(&items, |&i| {
-                if i == 17 {
-                    panic!("injected failure");
-                }
-                i * 2
-            })
-        }));
-        let panic = result.expect_err("the injected panic must propagate");
-        let message = panic
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(message.contains("injected failure"), "{kind:?}: {message}");
-        assert_eq!(
-            pool::available_budget(),
-            3,
-            "no leaked reservations after a panic ({kind:?})"
-        );
-    }
+    pool::set_jobs(4);
+    assert_eq!(pool::available_budget(), 3, "fresh budget");
+    let items: Vec<usize> = (0..64).collect();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        pool::par_map(&items, |&i| {
+            if i == 17 {
+                panic!("injected failure");
+            }
+            i * 2
+        })
+    }));
+    let panic = result.expect_err("the injected panic must propagate");
+    let message = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .map(String::from)
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(message.contains("injected failure"), "{message}");
+    assert_eq!(
+        pool::available_budget(),
+        3,
+        "no leaked reservations after a panic"
+    );
 }
 
 #[test]
 fn nested_fanout_under_exhausted_budget_completes() {
     let (_guard, _restore) = lock();
-    for kind in engines() {
-        pool::set_scheduler(kind);
-        // Budget of exactly one extra thread: the outer fan-out takes
-        // it, so inner fan-outs start with nothing and must make
-        // progress on their calling thread alone.
-        pool::set_jobs(2);
-        let concurrent = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let outer: Vec<usize> = (0..4).collect();
-        let sums = pool::par_map(&outer, |&o| {
-            let inner: Vec<usize> = (0..32).collect();
-            let inner_sum: usize = pool::par_map(&inner, |&i| {
-                let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                concurrent.fetch_sub(1, Ordering::SeqCst);
-                o * 1000 + i
-            })
-            .iter()
-            .sum();
-            inner_sum
-        });
-        let expect: Vec<usize> = (0..4)
-            .map(|o| (0..32).map(|i| o * 1000 + i).sum())
-            .collect();
-        assert_eq!(sums, expect, "nested results intact ({kind:?})");
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "at most --jobs threads ever ran ({kind:?})"
-        );
-        assert_eq!(
-            pool::available_budget(),
-            1,
-            "budget restored after nesting ({kind:?})"
-        );
-    }
+    // Budget of exactly one extra thread: the outer fan-out takes it, so
+    // inner fan-outs start with nothing and must make progress on their
+    // calling thread alone.
+    pool::set_jobs(2);
+    let concurrent = AtomicUsize::new(0);
+    let peak = AtomicUsize::new(0);
+    let outer: Vec<usize> = (0..4).collect();
+    let sums = pool::par_map(&outer, |&o| {
+        let inner: Vec<usize> = (0..32).collect();
+        let inner_sum: usize = pool::par_map(&inner, |&i| {
+            let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            concurrent.fetch_sub(1, Ordering::SeqCst);
+            o * 1000 + i
+        })
+        .iter()
+        .sum();
+        inner_sum
+    });
+    let expect: Vec<usize> = (0..4)
+        .map(|o| (0..32).map(|i| o * 1000 + i).sum())
+        .collect();
+    assert_eq!(sums, expect, "nested results intact");
+    assert!(
+        peak.load(Ordering::SeqCst) <= 2,
+        "at most --jobs threads ever ran"
+    );
+    assert_eq!(pool::available_budget(), 1, "budget restored after nesting");
+}
+
+/// The property the scheduler exists for: element 0 runs on the caller
+/// and element 1 on the one worker, which finishes at once, so the
+/// worker must hand its budget slot back and element 0's nested fan-out
+/// — which starts while that slot is still held — must recruit it.
+/// Without incremental release or without recruitment the inner items
+/// all run on one thread.
+#[test]
+fn straggler_nested_fanout_recruits_released_slots() {
+    let (_guard, _restore) = lock();
+    pool::set_jobs(2);
+    let threads = Mutex::new(HashSet::new());
+    let outer = [0usize, 1];
+    let totals = pool::par_map(&outer, |&o| {
+        if o == 1 {
+            return 1;
+        }
+        let inner: Vec<usize> = (0..32).collect();
+        pool::par_map(&inner, |&i| {
+            std::thread::sleep(Duration::from_millis(2));
+            threads.lock().unwrap().insert(std::thread::current().id());
+            i
+        })
+        .iter()
+        .sum::<usize>()
+    });
+    assert_eq!(totals, vec![(0..32).sum(), 1]);
+    assert_eq!(
+        threads.lock().unwrap().len(),
+        2,
+        "the straggler's inner fan-out ran on both --jobs threads"
+    );
+    assert_eq!(pool::available_budget(), 1, "budget restored");
 }
 
 #[test]
 fn deep_uneven_nesting_terminates_with_correct_results() {
     let (_guard, _restore) = lock();
-    pool::set_scheduler(SchedulerKind::WorkStealing);
     pool::set_jobs(8);
     // Skew: element 0 fans out again (the straggler shape the scheduler
     // exists for); recruitment and incremental release must neither
@@ -124,7 +144,7 @@ fn deep_uneven_nesting_terminates_with_correct_results() {
         if o == 0 {
             let inner: Vec<usize> = (0..64).collect();
             pool::par_map(&inner, |&i| {
-                std::thread::sleep(std::time::Duration::from_micros(200));
+                std::thread::sleep(Duration::from_micros(200));
                 i
             })
             .iter()
@@ -154,7 +174,7 @@ fn sample_trace(n: u64) -> Trace {
 
 /// The satellite acceptance sweep: the streamed-replay path must be
 /// byte-identical across `--jobs {1, 2, 4, 8}` — same energy report,
-/// same ingest counters, same access totals — under both engines.
+/// same ingest counters, same access totals.
 #[test]
 fn jobs_sweep_is_identical_on_streamed_replay() {
     let (_guard, _restore) = lock();
@@ -162,8 +182,7 @@ fn jobs_sweep_is_identical_on_streamed_replay() {
     let mut bytes = Vec::new();
     pack_trace(&trace, &mut bytes, 64).expect("packs");
 
-    let replay = |kind: SchedulerKind, jobs: usize| {
-        pool::set_scheduler(kind);
+    let replay = |jobs: usize| {
         pool::set_jobs(jobs);
         let mut reader = StreamReader::new(
             &bytes[..],
@@ -183,14 +202,12 @@ fn jobs_sweep_is_identical_on_streamed_replay() {
         (outcome, cache.into_report())
     };
 
-    let baseline = replay(SchedulerKind::WorkStealing, 1);
-    for kind in engines() {
-        for jobs in [1usize, 2, 4, 8] {
-            let run = replay(kind, jobs);
-            assert_eq!(
-                run, baseline,
-                "streamed replay diverged at --jobs {jobs} under {kind:?}"
-            );
-        }
+    let baseline = replay(1);
+    for jobs in [2usize, 4, 8] {
+        assert_eq!(
+            replay(jobs),
+            baseline,
+            "streamed replay diverged at --jobs {jobs}"
+        );
     }
 }
