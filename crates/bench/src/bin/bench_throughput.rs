@@ -1,107 +1,62 @@
-//! Replays the full D-Cache suite sequentially and in parallel and
-//! records the throughput comparison in `BENCH_parallel.json`.
+//! Times the replay hot path one stage at a time on one thread and
+//! writes one [`BenchRow`] per stage to `BENCH_simd.json`.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_throughput [--jobs N] [--out PATH] [--trace FILE.ctr]
-//!                  [--workloads GLOB] [--trace-dir DIR]...
-//!                  [--metrics-out FILE [--metrics-every N]]
-//! bench_throughput --stages [--iters N] [--warmup N] [--out PATH]
-//!                  [--baseline FILE] [--gate FILE]
+//! bench_throughput [--iters N] [--warmup N] [--out PATH] [--gate FILE]
 //! ```
 //!
-//! Both passes run the identical (benchmark x policy) replay matrix —
-//! baseline and adaptive encoding over every suite workload — so the
-//! speedup column isolates the thread-pool gain. The recorded numbers
-//! are whatever this machine produced: on a single-core runner the
-//! honest speedup is ~1.0x, and `cores` in the JSON says so.
-//!
-//! With `--trace FILE.ctr` the suite matrix is replaced by streamed
-//! replays of the external trace (baseline and adaptive), so the
-//! speedup column instead isolates the chunk-parallel decode gain of
-//! the `cnt-trace` ingestion pipeline.
-//!
-//! With `--workloads GLOB` (and optionally `--trace-dir DIR` to pull
-//! imported `.ctr` captures into the namespace) the matrix is built
-//! from the workload registry instead of the fixed suite, so imported
-//! real-application traces replay through the identical measurement
-//! path as the synthetic kernels.
-//!
-//! With `--stages` the end-to-end matrix is replaced by isolated
-//! single-thread timings of the replay hot path — the `popcount`,
-//! `decode`, and `decision` kernels plus the batched end-to-end
-//! `replay` loop — each run `--warmup` untimed and `--iters` timed
-//! iterations and summarised as mean/stddev/min in `BENCH_simd.json`.
-//! `--gate FILE` additionally compares the fresh means against a
-//! committed record and exits with code 3 when any stage drops more
-//! than 20% below its committed mean (CI treats 3 as a warning: shared
-//! runners are noisy; byte-identity breakage elsewhere stays fatal).
-//! `--iters`, `--warmup`, `--baseline` and `--gate` only apply to
-//! `--stages`; elsewhere they are rejected with exit code 2.
+//! The stages are the `popcount`, `decode` and `decision` kernels and
+//! the batched end-to-end `replay` loop. Each runs `--warmup` untimed
+//! and `--iters` timed iterations (defaults 2 and 10), and its row holds
+//! the median and quartiles of the per-iteration rate. `--gate FILE`
+//! loads a committed row file before any timing and, after it, exits
+//! with code 3 when a fresh median falls more than 20% below the
+//! committed median of the same `(suite, case)` (CI treats 3 as a
+//! warning: shared runners are noisy). End-to-end figures are
+//! cntbench's (`BENCHMARK.json`).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use cnt_bench::cli;
-use cnt_bench::runner::{run_dcache_batch, run_dcache_matrix};
-use cnt_bench::stream::run_dcache_stream;
-use cnt_bench::{pool, BenchRecord, IterStats, PassRecord, SimdBenchRecord, StageRecord};
+use cnt_bench::record::{check_rows, quartiles, regressions};
+use cnt_bench::runner::run_dcache_batch;
+use cnt_bench::{cli, pool, BenchRow};
 use cnt_cache::EncodingPolicy;
 use cnt_encoding::popcount::popcount_word_partitions;
 use cnt_encoding::{DirectionBits, DirectionPredictor, PredictorConfig, WindowSummary};
 use cnt_energy::BitEnergies;
 use cnt_sim::trace::AccessBatch;
 use cnt_trace::format::{decode_payload_into, encode_access};
-use cnt_trace::ReadOptions;
+
+/// Gate tolerance: a fresh median more than this fraction below the
+/// committed median exits with [`GATE_EXIT`].
+const GATE_TOLERANCE: f64 = 0.20;
+
+/// Exit code for a perf-gate violation — distinct from hard failures so
+/// CI can downgrade it to a warning on noisy shared runners.
+const GATE_EXIT: u8 = 3;
+
+/// The `suite` of every row this binary writes.
+const SUITE: &str = "stages";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut jobs = pool::default_jobs();
-    let mut out_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut metrics_every: Option<u64> = None;
-    let mut stages = false;
-    let mut iters: Option<u32> = None;
-    let mut warmup: Option<u32> = None;
-    let mut baseline_path: Option<String> = None;
+    let mut out_path = String::from("BENCH_simd.json");
+    let mut iters = 10u32;
+    let mut warmup = 2u32;
     let mut gate_path: Option<String> = None;
-    let mut workloads_pattern: Option<String> = None;
-    let mut trace_dirs: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let parsed = match arg.as_str() {
-            "--trace" => cli::flag_value(&mut iter, "--trace").map(|p| trace_path = Some(p.into())),
-            "--jobs" | "-j" => cli::positive_int_flag(&mut iter, "--jobs").map(|n| jobs = n),
-            "--out" => cli::flag_value(&mut iter, "--out").map(|p| out_path = Some(p.into())),
-            "--stages" => {
-                stages = true;
-                Ok(())
-            }
-            "--iters" => cli::positive_int_flag(&mut iter, "--iters").map(|n| iters = Some(n)),
-            "--warmup" => cli::int_flag(&mut iter, "--warmup").map(|n| warmup = Some(n)),
-            "--baseline" => {
-                cli::flag_value(&mut iter, "--baseline").map(|p| baseline_path = Some(p.into()))
-            }
+            "--out" => cli::flag_value(&mut iter, "--out").map(|p| out_path = p.into()),
+            "--iters" => cli::positive_int_flag(&mut iter, "--iters").map(|n| iters = n),
+            "--warmup" => cli::int_flag(&mut iter, "--warmup").map(|n| warmup = n),
             "--gate" => cli::flag_value(&mut iter, "--gate").map(|p| gate_path = Some(p.into())),
-            "--workloads" => cli::flag_value(&mut iter, "--workloads")
-                .map(|p| workloads_pattern = Some(p.into())),
-            "--trace-dir" => {
-                cli::flag_value(&mut iter, "--trace-dir").map(|d| trace_dirs.push(d.into()))
-            }
-            "--metrics-out" => {
-                cli::flag_value(&mut iter, "--metrics-out").map(|p| metrics_out = Some(p.into()))
-            }
-            "--metrics-every" => cli::positive_int_flag(&mut iter, "--metrics-every")
-                .map(|n| metrics_every = Some(n)),
             other => {
                 eprintln!(
-                    "usage: bench_throughput [--jobs N] [--out PATH] [--trace FILE.ctr] \
-                     [--workloads GLOB] [--trace-dir DIR]... \
-                     [--metrics-out FILE [--metrics-every N]]\n       \
-                     bench_throughput --stages [--iters N] [--warmup N] [--out PATH] \
-                     [--baseline FILE] [--gate FILE]"
+                    "usage: bench_throughput [--iters N] [--warmup N] [--out PATH] [--gate FILE]"
                 );
                 eprintln!("error: unknown argument `{other}`");
                 return ExitCode::from(2);
@@ -111,251 +66,50 @@ fn main() -> ExitCode {
             return e.exit();
         }
     }
-    if metrics_every.is_some() && metrics_out.is_none() {
-        eprintln!("error: --metrics-every needs --metrics-out");
-        return ExitCode::from(2);
-    }
-    let registry_flags = workloads_pattern.is_some() || !trace_dirs.is_empty();
-    if registry_flags && trace_path.is_some() {
-        eprintln!("error: --workloads/--trace-dir select from the registry; drop --trace");
-        return ExitCode::from(2);
-    }
-    if stages {
-        if trace_path.is_some() || metrics_out.is_some() || registry_flags {
-            eprintln!(
-                "error: --stages cannot be combined with --trace, --metrics-out, \
-                 --workloads, or --trace-dir"
-            );
-            return ExitCode::from(2);
-        }
-        let out = out_path.unwrap_or_else(|| String::from("BENCH_simd.json"));
-        let baseline_path = baseline_path.unwrap_or_else(|| String::from("BENCH_parallel.json"));
-        return run_stage_suite(
-            &out,
-            iters.unwrap_or(5),
-            warmup.unwrap_or(2),
-            &baseline_path,
-            gate_path.as_deref(),
-        );
-    }
-    let stage_only = [
-        ("--iters", iters.is_some()),
-        ("--warmup", warmup.is_some()),
-        ("--baseline", baseline_path.is_some()),
-        ("--gate", gate_path.is_some()),
-    ];
-    if let Some((flag, _)) = stage_only.iter().find(|(_, given)| *given) {
-        eprintln!("error: {flag} only applies to --stages runs");
-        return ExitCode::from(2);
-    }
-    let out_path = out_path.unwrap_or_else(|| String::from("BENCH_parallel.json"));
-    if metrics_out.is_some() {
-        let every = metrics_every.unwrap_or(10_000);
-        cnt_obs::install(every);
-        eprintln!("metrics: snapshot every {every} accesses");
-    }
-
-    let policies = [EncodingPolicy::None, EncodingPolicy::adaptive_default()];
-    // One pass = the full replay matrix; returns accesses replayed.
-    let (run_pass, workload_count): (Box<dyn Fn() -> u64>, usize) = match &trace_path {
-        Some(path) => {
-            let path = std::path::PathBuf::from(path);
-            // Surface an unreadable or malformed trace before any
-            // measurement, not halfway through the warmup.
-            let header_check = std::fs::File::open(&path)
-                .map_err(cnt_trace::TraceError::from)
-                .and_then(|f| {
-                    cnt_trace::StreamReader::new(std::io::BufReader::new(f), ReadOptions::default())
-                        .map(|_| ())
-                });
-            if let Err(e) = header_check {
-                eprintln!("error: `{}`: {e}", path.display());
-                return ExitCode::from(2);
+    // A bad gate file fails here, before any timing and any output.
+    let committed = match &gate_path {
+        None => None,
+        Some(path) => match load_rows(path) {
+            Ok(rows) => Some(rows),
+            Err(e) => {
+                eprintln!("error: cannot load gate record `{path}`: {e}");
+                return ExitCode::FAILURE;
             }
-            let pass = move || {
-                policies
-                    .iter()
-                    .map(
-                        |&policy| match run_dcache_stream(policy, &path, ReadOptions::default()) {
-                            Ok(outcome) => outcome.accesses,
-                            Err(e) => {
-                                eprintln!("error: `{}`: {e}", path.display());
-                                std::process::exit(1);
-                            }
-                        },
-                    )
-                    .sum()
-            };
-            (Box::new(pass), 1)
-        }
-        None => {
-            // The default matrix is the classic suite; --workloads /
-            // --trace-dir swap in a registry selection so imported
-            // captures replay through the identical measurement path.
-            let workloads = if registry_flags {
-                let mut registry = cnt_workloads::WorkloadRegistry::builtin();
-                for dir in &trace_dirs {
-                    match registry.add_trace_dir(std::path::Path::new(dir)) {
-                        Ok(added) => eprintln!("registry: {added} imported workload(s) from {dir}"),
-                        Err(e) => {
-                            eprintln!("error: --trace-dir {dir}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                let pattern = workloads_pattern.as_deref().unwrap_or("*");
-                let selected = match registry.select(pattern) {
-                    Ok(selected) => selected,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                let mut loaded = Vec::with_capacity(selected.len());
-                for entry in selected {
-                    match entry.load() {
-                        Ok(workload) => loaded.push(workload),
-                        Err(e) => {
-                            eprintln!("error: workload `{}`: {e}", entry.id);
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                loaded
-            } else {
-                cnt_workloads::suite()
-            };
-            let count = workloads.len();
-            let pass = move || {
-                let matrix = run_dcache_matrix(&workloads, &policies);
-                assert_eq!(matrix.len(), workloads.len());
-                // Each matrix cell replays the full trace once.
-                workloads
-                    .iter()
-                    .map(|w| w.trace.len() as u64 * policies.len() as u64)
-                    .sum()
-            };
-            (Box::new(pass), count)
-        }
+        },
     };
 
-    let measure = |label: &str, jobs: usize| -> (PassRecord, u64) {
-        pool::set_jobs(jobs);
-        // Distinct scope labels per pass: the same matrix replays four
-        // times (warmup + measured, sequential + parallel), so snapshot
-        // ids must not collide across passes.
-        let _pass = cnt_obs::scoped(label);
-        {
-            // Full warm-up replay so neither measured pass pays
-            // first-touch costs the other would not (the first pass
-            // would otherwise warm the allocator and page cache for the
-            // second).
-            let _warmup = cnt_obs::scoped("warmup");
-            let _ = run_pass();
-        }
-        let _measured = cnt_obs::scoped("measured");
-        let start = Instant::now();
-        let accesses = run_pass();
-        let wall = start.elapsed().as_secs_f64();
-        let record = PassRecord {
-            jobs,
-            wall_seconds: wall,
-            // Guard the degenerate zero-wall case: the record must stay
-            // serializable, and serde_json rejects non-finite floats.
-            accesses_per_second: if wall > 0.0 {
-                accesses as f64 / wall
-            } else {
-                0.0
-            },
-            iters: 1,
-            warmup: 1,
-        };
-        (record, accesses)
-    };
-
-    let what = trace_path.as_deref().unwrap_or("suite");
-    eprintln!("replaying {what} sequentially (--jobs 1)...");
-    let (seq, seq_accesses) = measure("seq", 1);
-    eprintln!(
-        "  {:.3} s  ({:.0} accesses/s)",
-        seq.wall_seconds, seq.accesses_per_second
-    );
-    eprintln!("replaying {what} in parallel (--jobs {jobs})...");
-    let (par, par_accesses) = measure("par", jobs);
-    eprintln!(
-        "  {:.3} s  ({:.0} accesses/s)",
-        par.wall_seconds, par.accesses_per_second
-    );
-    assert_eq!(
-        seq_accesses, par_accesses,
-        "both passes replay the identical matrix"
-    );
-
-    let cores = pool::default_jobs();
-    let record = BenchRecord {
-        // The pool's own view of the hardware, sampled at measurement
-        // time — the one number `metrics_lint` trusts when judging
-        // whether a `jobs > cores` speedup claim is reliable.
-        cores,
-        workloads: workload_count,
-        policies_per_workload: policies.len(),
-        accesses_per_pass: seq_accesses,
-        sequential: seq,
-        parallel: par,
-        skip_note: scaling_skip_note(cores),
-    };
-    println!(
-        "speedup: {:.2}x on {} core(s)",
-        record.speedup(),
-        record.cores
-    );
-
-    let json = serde_json::to_string_pretty(&record).expect("record serialises");
+    let rows = time_stages(iters, warmup);
+    let json = serde_json::to_string_pretty(&rows).expect("rows serialise");
     if let Err(e) = std::fs::write(&out_path, json + "\n") {
         eprintln!("error: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
     println!("wrote {out_path}");
 
-    if let Some(path) = metrics_out {
-        let snapshots = cnt_obs::drain();
-        let jsonl = match cnt_obs::to_jsonl(&snapshots) {
-            Ok(jsonl) => jsonl,
-            Err(e) => {
-                eprintln!("error: cannot serialize metrics: {e}");
-                return ExitCode::FAILURE;
+    if let Some(committed) = committed {
+        let violations = regressions(&committed, &rows, GATE_TOLERANCE);
+        if !violations.is_empty() {
+            for v in &violations {
+                eprintln!("perf-gate: {v}");
             }
-        };
-        if let Err(e) = std::fs::write(&path, jsonl) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(GATE_EXIT);
         }
-        eprintln!("metrics: wrote {} snapshots to {path}", snapshots.len());
+        println!(
+            "perf-gate: all {} committed rows within {:.0}% of their medians",
+            committed.len(),
+            GATE_TOLERANCE * 100.0
+        );
     }
     ExitCode::SUCCESS
 }
 
-/// The explicit skip record a scaling measurement carries when the box
-/// cannot support the claim (fewer than 4 hardware threads): the
-/// numbers are still real wall-clock, but any speedup is noise, and the
-/// committed JSON must say so rather than silently look like a
-/// regression.
-fn scaling_skip_note(cores: usize) -> Option<String> {
-    (cores < 4).then(|| {
-        format!(
-            "parallel-scaling measurement skipped: {cores} core(s) at measurement time, \
-             a >=4-core box is required for a meaningful speedup claim"
-        )
-    })
+/// Reads and checks a committed row file.
+fn load_rows(path: &str) -> Result<Vec<BenchRow>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let rows: Vec<BenchRow> = serde_json::from_str(&text).map_err(|e| e.to_string())?;
+    check_rows(&rows)?;
+    Ok(rows)
 }
-
-/// Gate tolerance: a fresh stage mean more than this fraction below the
-/// committed mean exits with [`GATE_EXIT`].
-const GATE_TOLERANCE: f64 = 0.20;
-
-/// Exit code for a perf-gate violation — distinct from hard failures so
-/// CI can downgrade it to a warning on noisy shared runners.
-const GATE_EXIT: u8 = 3;
 
 /// `splitmix64` step: cheap, deterministic, well-mixed test data.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -367,22 +121,21 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Runs one stage body `warmup` untimed plus `iters` timed iterations
-/// and summarises throughput. The body returns a checksum that must be
+/// and summarises its rate. The body returns a checksum that must be
 /// identical every iteration — a changing checksum means the stage is
 /// not deterministic and the timing compares different work.
 fn time_stage(
-    name: &str,
+    case: &str,
     unit: &str,
     items_per_iter: u64,
     iters: u32,
     warmup: u32,
-    baseline: f64,
     mut body: impl FnMut() -> u64,
-) -> StageRecord {
+) -> BenchRow {
     let mut checksum: Option<u64> = None;
     let mut check = |c: u64| match checksum {
         None => checksum = Some(c),
-        Some(prev) => assert_eq!(prev, c, "stage `{name}` must be deterministic"),
+        Some(prev) => assert_eq!(prev, c, "stage `{case}` must be deterministic"),
     };
     for _ in 0..warmup {
         check(std::hint::black_box(body()));
@@ -399,62 +152,30 @@ fn time_stage(
             0.0
         });
     }
-    let per_second = IterStats::from_samples(&samples);
-    let speedup = if baseline > 0.0 {
-        per_second.mean / baseline
-    } else {
-        0.0
-    };
-    eprintln!(
-        "stage {name:<8} {:>12.0} {unit}/s mean  (stddev {:.0}, min {:.0})  {:.1}x baseline",
-        per_second.mean, per_second.stddev, per_second.min, speedup
-    );
-    StageRecord {
-        stage: name.to_string(),
-        items_per_iter,
+    let [q1, median, q3] = quartiles(&samples);
+    eprintln!("stage {case:<8} {median:>12.0} {unit} median  (q1 {q1:.0}, q3 {q3:.0})");
+    BenchRow {
+        suite: SUITE.to_string(),
+        case: case.to_string(),
         unit: unit.to_string(),
+        cores: pool::default_jobs(),
+        jobs: 1,
         iters,
         warmup,
-        per_second,
-        speedup_vs_baseline: speedup,
+        median,
+        q1,
+        q3,
     }
 }
 
-/// The `--stages` mode: isolated single-thread hot-path timings.
-fn run_stage_suite(
-    out_path: &str,
-    iters: u32,
-    warmup: u32,
-    baseline_path: &str,
-    gate_path: Option<&str>,
-) -> ExitCode {
-    // All stages are single-thread measurements by definition.
+/// Times every stage on one thread.
+fn time_stages(iters: u32, warmup: u32) -> Vec<BenchRow> {
     pool::set_jobs(1);
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => match serde_json::from_str::<BenchRecord>(&text) {
-            Ok(record) => record.sequential.accesses_per_second,
-            Err(e) => {
-                eprintln!(
-                    "warning: cannot parse baseline `{baseline_path}` ({e}); \
-                     speedup_vs_baseline columns will read 0.0"
-                );
-                0.0
-            }
-        },
-        Err(e) => {
-            eprintln!(
-                "warning: cannot read baseline `{baseline_path}` ({e}); \
-                 speedup_vs_baseline columns will read 0.0"
-            );
-            0.0
-        }
-    };
-    eprintln!("baseline: {baseline:.0} accesses/s end-to-end sequential ({baseline_path})");
     eprintln!("timing each stage: {warmup} warmup + {iters} measured iterations");
 
     let workloads = cnt_workloads::suite();
     let policies = [EncodingPolicy::None, EncodingPolicy::adaptive_default()];
-    let mut records = Vec::new();
+    let mut rows = Vec::new();
 
     // Stage 1 — popcount: the per-partition stored-weight kernel over
     // deterministic 512-bit lines (8 partitions of one word each, the
@@ -467,13 +188,12 @@ fn run_stage_suite(
             .map(|_| splitmix64(&mut seed))
             .collect();
         let mut counts = [0u32; WORDS_PER_LINE];
-        records.push(time_stage(
+        rows.push(time_stage(
             "popcount",
-            "lines",
+            "lines/s",
             LINES as u64,
             iters,
             warmup,
-            baseline,
             || {
                 let mut sum = 0u64;
                 for line in words.chunks_exact(WORDS_PER_LINE) {
@@ -507,13 +227,12 @@ fn run_stage_suite(
             }
         }
         let mut batch = AccessBatch::with_capacity(CHUNK_ACCESSES);
-        records.push(time_stage(
+        rows.push(time_stage(
             "decode",
-            "records",
+            "records/s",
             total_records,
             iters,
             warmup,
-            baseline,
             || {
                 let mut sum = 0u64;
                 for (payload, count) in &payloads {
@@ -544,13 +263,12 @@ fn run_stage_suite(
         let dirs: Vec<DirectionBits> = (0..LINES)
             .map(|_| DirectionBits::from_mask(splitmix64(&mut seed) & 0xFF, config.partitions))
             .collect();
-        records.push(time_stage(
+        rows.push(time_stage(
             "decision",
-            "decisions",
+            "decisions/s",
             LINES as u64,
             iters,
             warmup,
-            baseline,
             || {
                 let mut sum = 0u64;
                 for (i, line) in lines.chunks_exact(WORDS_PER_LINE).enumerate() {
@@ -565,11 +283,10 @@ fn run_stage_suite(
         ));
     }
 
-    // Stage 4 — replay: the honest end-to-end number. The full
-    // (workload x policy) matrix through the batched columnar loop,
-    // single thread; compare against `baseline` to see what the batch
-    // path buys end-to-end (metering dominates, so expect ~1x here —
-    // the kernel stages above are where the 5x+ lives).
+    // Stage 4 — replay: the full (workload x policy) matrix through the
+    // batched columnar loop, single thread. cntbench's per-layer split
+    // puts the largest share of each access in the bare simulator, not
+    // in the meter or the kernels timed above.
     {
         let batches: Vec<AccessBatch> = workloads
             .iter()
@@ -577,13 +294,12 @@ fn run_stage_suite(
             .collect();
         let accesses: u64 =
             batches.iter().map(|b| b.len() as u64).sum::<u64>() * policies.len() as u64;
-        records.push(time_stage(
+        rows.push(time_stage(
             "replay",
-            "accesses",
+            "accesses/s",
             accesses,
             iters,
             warmup,
-            baseline,
             || {
                 let mut sum = 0u64;
                 for batch in &batches {
@@ -597,45 +313,5 @@ fn run_stage_suite(
         ));
     }
 
-    let record = SimdBenchRecord {
-        cores: pool::default_jobs(),
-        baseline_accesses_per_second: baseline,
-        stages: records,
-    };
-    println!(
-        "best stage speedup: {:.1}x over the end-to-end baseline",
-        record.best_speedup()
-    );
-    let json = serde_json::to_string_pretty(&record).expect("record serialises");
-    if let Err(e) = std::fs::write(out_path, json + "\n") {
-        eprintln!("error: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-
-    if let Some(path) = gate_path {
-        let committed: SimdBenchRecord = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
-        {
-            Ok(committed) => committed,
-            Err(e) => {
-                eprintln!("error: cannot load gate record `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = committed.regressions_in(&record, GATE_TOLERANCE);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("perf-gate: {v}");
-            }
-            return ExitCode::from(GATE_EXIT);
-        }
-        println!(
-            "perf-gate: all {} committed stages within {:.0}% of their means",
-            committed.stages.len(),
-            GATE_TOLERANCE * 100.0
-        );
-    }
-    ExitCode::SUCCESS
+    rows
 }

@@ -7,75 +7,32 @@
 //! metrics_lint [--sessions] <metrics.jsonl | BENCH_record.json> [...]
 //! ```
 //!
-//! Files ending in `.json` are linted as single benchmark records —
-//! the sequential-vs-parallel `BenchRecord` shape (old records without
-//! the `iters`/`warmup` iteration fields still parse), the `--stages`
-//! `SimdBenchRecord` shape, the replay-service `ServeBenchRecord`
-//! shape, the per-workload baseline `WorkloadBenchRecord` shape
-//! (sorted rows, balanced read/write arithmetic, recomputed saving
-//! column), or a `tracegen import --report` `ImportReport` (balanced
-//! access counts; drops only in lenient mode, and then with a named
-//! first casualty) — with every throughput figure required to be
-//! finite and non-negative. Any record claiming a parallel speedup with
-//! more jobs than the machine had cores at measurement time is rejected
-//! as unreliable: oversubscribed "speedups" measure scheduler jitter,
-//! not the pool (`BENCH_parallel.json` once shipped exactly that —
-//! `jobs: 4` on `cores: 1`). A serve record measured on fewer than 4
-//! cores must carry its `skip_note` disclaimer — a bare concurrency
-//! "speedup" from a 1-core box is the same lie in multi-tenant
-//! clothing. Anything else is linted as a snapshot stream: every line
-//! must parse as a `cnt_obs::Snapshot` with at least one cache level,
-//! and within each experiment stream the epochs must count up from
-//! zero with non-decreasing access totals. With `--sessions`, streams
-//! are instead linted as **multiplexed per-session** logs (as written
-//! by `cnt_serve` into `serve_metrics.jsonl`): every experiment id
-//! must carry an `sNNNN/` session prefix, and the per-experiment
+//! Files ending in `.json` are linted as single benchmark records of
+//! one of three shapes. A `bench_throughput` row file (a JSON array of
+//! `BenchRow`s) needs at least one row, measured iterations, finite
+//! quartiles in order around a non-negative median, no more jobs than
+//! cores, and no `(suite, case)` twice. A per-workload baseline
+//! `WorkloadBenchRecord` needs sorted rows, balanced read/write
+//! arithmetic and a recomputed saving column. A `tracegen import
+//! --report` `ImportReport` needs balanced access counts, and drops
+//! only in lenient mode, with a named first casualty. Anything else is
+//! linted as a snapshot stream: every line must parse as a
+//! `cnt_obs::Snapshot` with at least one cache level, and within each
+//! experiment stream the epochs must count up from zero with
+//! non-decreasing access totals. With `--sessions`, streams are instead
+//! linted as **multiplexed per-session** logs (as written by
+//! `cnt_serve` into `serve_metrics.jsonl`): every experiment id must
+//! carry an `sNNNN/` session prefix, and the per-experiment
 //! monotonicity rules apply within each session's streams. Exits
 //! non-zero on the first violation, naming the offending file. CI runs
 //! this over the metrics smoke stream, the serve smoke log, and the
-//! committed bench records.
+//! committed and fresh bench records.
 
 use std::process::ExitCode;
 
-use cnt_bench::{BenchRecord, ServeBenchRecord, SimdBenchRecord, StageRecord, WorkloadBenchRecord};
+use cnt_bench::record::check_rows;
+use cnt_bench::{BenchRow, WorkloadBenchRecord};
 use cnt_import::ImportReport;
-
-fn check_rate(what: &str, rate: f64) -> Result<(), String> {
-    if !rate.is_finite() || rate < 0.0 {
-        return Err(format!(
-            "{what}: throughput {rate} is not a finite non-negative number"
-        ));
-    }
-    Ok(())
-}
-
-fn lint_stage(stage: &StageRecord) -> Result<(), String> {
-    let name = &stage.stage;
-    if stage.iters == 0 {
-        return Err(format!("stage `{name}`: zero measured iterations"));
-    }
-    check_rate(&format!("stage `{name}` mean"), stage.per_second.mean)?;
-    check_rate(&format!("stage `{name}` stddev"), stage.per_second.stddev)?;
-    check_rate(&format!("stage `{name}` min"), stage.per_second.min)?;
-    if stage.per_second.min > stage.per_second.mean {
-        return Err(format!(
-            "stage `{name}`: min {} exceeds mean {}",
-            stage.per_second.min, stage.per_second.mean
-        ));
-    }
-    Ok(())
-}
-
-/// Rejects speedup claims measured with more jobs than hardware threads.
-fn check_jobs_vs_cores(what: &str, jobs: usize, cores: usize) -> Result<(), String> {
-    if jobs > cores {
-        return Err(format!(
-            "{what}: --jobs {jobs} exceeds the {cores} core(s) present at measurement \
-             time; the recorded speedup is unreliable (remeasure with jobs <= cores)"
-        ));
-    }
-    Ok(())
-}
 
 /// Checks one energy figure: finite and non-negative.
 fn check_energy(what: &str, fj: f64) -> Result<(), String> {
@@ -219,84 +176,17 @@ fn lint_workload_record(record: &WorkloadBenchRecord) -> Result<String, String> 
 
 /// Lints one `BENCH_*.json` record of any recognised shape.
 fn lint_bench_record(text: &str) -> Result<String, String> {
-    // Most-distinctive shapes first: every record type here has at
-    // least one required field no other type shares, so the try-order
-    // only matters for error messages, not correctness.
+    let unrecognised = |e: serde_json::Error| format!("not a recognised bench record: {e}");
+    if text.trim_start().starts_with('[') {
+        let rows: Vec<BenchRow> = serde_json::from_str(text).map_err(unrecognised)?;
+        check_rows(&rows)?;
+        return Ok(format!("ok — {} timing row(s)", rows.len()));
+    }
     if let Ok(report) = serde_json::from_str::<ImportReport>(text) {
         return lint_import_report(&report);
     }
-    if let Ok(record) = serde_json::from_str::<WorkloadBenchRecord>(text) {
-        return lint_workload_record(&record);
-    }
-    if let Ok(record) = serde_json::from_str::<SimdBenchRecord>(text) {
-        if record.stages.is_empty() {
-            return Err("stage record with no stages".into());
-        }
-        for stage in &record.stages {
-            lint_stage(stage)?;
-        }
-        return Ok(format!(
-            "ok — {} stages, best {:.1}x over baseline",
-            record.stages.len(),
-            record.best_speedup()
-        ));
-    }
-    if let Ok(record) = serde_json::from_str::<ServeBenchRecord>(text) {
-        check_rate("serial sessions pass", record.serial.accesses_per_second)?;
-        check_rate(
-            "concurrent sessions pass",
-            record.concurrent.accesses_per_second,
-        )?;
-        if record.sessions == 0 {
-            return Err("serve record with zero sessions".into());
-        }
-        if record.serial.jobs != record.jobs || record.concurrent.jobs != record.jobs {
-            return Err(format!(
-                "serve record claims --jobs {} but passes ran with {} and {}",
-                record.jobs, record.serial.jobs, record.concurrent.jobs
-            ));
-        }
-        check_jobs_vs_cores("serve sessions", record.jobs, record.cores)?;
-        if record.cores < 4 && record.skip_note.is_none() {
-            return Err(format!(
-                "serve record measured on {} core(s) claims a {:.2}x concurrency speedup \
-                 without a skip_note disclaimer; remeasure on >=4 cores or record the skip",
-                record.cores,
-                record.speedup()
-            ));
-        }
-        return Ok(format!(
-            "ok — {} sessions, {:.2}x concurrent speedup on {} core(s){}",
-            record.sessions,
-            record.speedup(),
-            record.cores,
-            if record.skip_note.is_some() {
-                " (scaling claim skipped)"
-            } else {
-                ""
-            }
-        ));
-    }
-    match serde_json::from_str::<BenchRecord>(text) {
-        Ok(record) => {
-            check_rate("sequential pass", record.sequential.accesses_per_second)?;
-            check_rate("parallel pass", record.parallel.accesses_per_second)?;
-            if record.sequential.jobs != 1 {
-                return Err(format!(
-                    "sequential pass ran with --jobs {}",
-                    record.sequential.jobs
-                ));
-            }
-            check_jobs_vs_cores("parallel pass", record.parallel.jobs, record.cores)?;
-            Ok(format!(
-                "ok — {} accesses/pass, {:.2}x speedup on {} core(s)",
-                record.accesses_per_pass,
-                record.speedup(),
-                record.cores
-            ))
-        }
-        Err(e) => Err(format!("not a recognised bench record: {e}")),
-    }
+    let record: WorkloadBenchRecord = serde_json::from_str(text).map_err(unrecognised)?;
+    lint_workload_record(&record)
 }
 
 fn main() -> ExitCode {

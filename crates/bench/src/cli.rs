@@ -2,10 +2,10 @@
 //!
 //! Every bin in this crate enforces the same contract: unknown flags,
 //! missing values, malformed numbers, and out-of-range fractions are
-//! loud usage errors (exit code 2), never silent defaults. The helpers
-//! here used to be copied between `tracegen`, `experiments`,
-//! `bench_throughput` and `fault_campaign`; they live here once so the
-//! error texts — which CI greps for — cannot drift apart.
+//! loud usage errors (exit code 2), never silent defaults. `tracegen`,
+//! `experiments`, `bench_throughput` and `fault_campaign` share these
+//! helpers so the error texts — which CI greps for — cannot drift
+//! apart.
 
 use std::process::ExitCode;
 

@@ -23,7 +23,4 @@ pub mod record;
 pub mod runner;
 pub mod stream;
 
-pub use record::{
-    BenchRecord, IterStats, PassRecord, ServeBenchRecord, SimdBenchRecord, StageRecord,
-    WorkloadBenchRecord, WorkloadRow,
-};
+pub use record::{BenchRow, WorkloadBenchRecord, WorkloadRow};

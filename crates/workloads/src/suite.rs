@@ -235,10 +235,10 @@ impl WorkloadEntry {
 
 /// One namespace over every workload the harnesses can run: the
 /// synthetic kernel suite under `synth/`, imported `.ctr` captures
-/// under `import/`. `experiments`, `bench_throughput` and `cnt-serve`
-/// all select from here by name or glob, so "run the adaptive encoder
-/// over mcf and the stencil" is one `--workloads` flag regardless of
-/// where each trace came from.
+/// under `import/`. `experiments` and `cnt-serve` both select from
+/// here by name or glob, so "run the adaptive encoder over mcf and the
+/// stencil" is one `--workloads` flag regardless of where each trace
+/// came from.
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadRegistry {
     entries: Vec<WorkloadEntry>,
