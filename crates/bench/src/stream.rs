@@ -85,8 +85,8 @@ impl std::error::Error for StreamError {
 }
 
 /// A cooperative cancellation handle for long replays. Cloneable and
-/// thread-safe: a control thread (e.g. a server connection pump that
-/// just read a `Cancel` frame or lost its client) flips the token, and
+/// thread-safe: a control thread (e.g. a server connection's reader
+/// that just read a `Cancel` frame or lost its client) flips the token, and
 /// the replay observes it at its next deterministic check point — the
 /// window boundary and each chunk-consumption step — then returns
 /// [`StreamError::Cancelled`] instead of touching further input.

@@ -12,7 +12,8 @@
 //! server's workload registry (as `import/<stem>` ids) so clients can
 //! open registry-named sessions (`cnt_client --workload ID`).
 //!
-//! `--once N` exits after handling `N` connections (CI and tests);
+//! `--once N` accepts `N` connections, serves them, and exits (CI and
+//! tests);
 //! `--resume-only` completes pending sessions from a killed instance
 //! and exits without listening.
 

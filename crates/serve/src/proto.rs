@@ -24,7 +24,7 @@
 
 use std::io::{Read, Write};
 
-use cnt_trace::crc32::crc32;
+use cnt_trace::crc32;
 use serde::{Deserialize, Serialize};
 
 /// The eight magic bytes opening every hello.
@@ -178,8 +178,8 @@ impl Kind {
 /// panic or wedge the process.
 #[derive(Debug)]
 pub enum ProtoError {
-    /// Socket/transport failure (including read timeouts — see
-    /// [`ProtoError::is_timeout`]).
+    /// Socket/transport failure, including a read timeout and a peer
+    /// that closed mid-frame.
     Io(std::io::Error),
     /// The peer's hello did not open with the protocol magic.
     BadMagic {
@@ -228,17 +228,6 @@ pub enum ProtoError {
 }
 
 impl ProtoError {
-    /// `true` when this is a read timeout — the pump-loop "nothing
-    /// arrived yet, try again" case, as opposed to a real failure.
-    #[must_use]
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            ProtoError::Io(e) if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut
-        )
-    }
-
     /// Short stable identifier for [`ErrorMsg::code`].
     #[must_use]
     pub fn code(&self) -> &'static str {
@@ -354,8 +343,9 @@ pub fn write_frame<W: Write>(w: &mut W, kind: Kind, payload: &[u8]) -> Result<()
 /// # Errors
 ///
 /// [`ProtoError::Closed`] on a clean hang-up at a frame boundary;
-/// [`ProtoError::Io`] mid-frame (a timeout mid-header surfaces here —
-/// check [`ProtoError::is_timeout`]); [`ProtoError::UnknownKind`],
+/// [`ProtoError::Io`] on any other transport failure, a read timeout
+/// included — bytes of the frame may already be consumed, so the
+/// stream is no longer at a frame boundary; [`ProtoError::UnknownKind`],
 /// [`ProtoError::Oversized`], or [`ProtoError::Crc`] for frames that
 /// are structurally unacceptable.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(Kind, Vec<u8>), ProtoError> {
@@ -390,10 +380,8 @@ fn read_exact_or_closed<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), ProtoE
                 )))
             }
             Ok(n) => filled += n,
-            // A timeout with bytes already consumed must not retry from
-            // the top — surface it and let the caller treat it as fatal
-            // (only a timeout before the first byte is a clean "nothing
-            // arrived yet").
+            // A timeout may land with bytes already consumed, so it is
+            // never a retryable "nothing arrived yet": surface it.
             Err(e) => return Err(ProtoError::Io(e)),
         }
     }

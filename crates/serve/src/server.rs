@@ -21,8 +21,11 @@
 //!    [`cnt_bench::driver::run_two_pass`] with a thread-local metrics
 //!    sink; every epoch snapshot streams back to the client as an
 //!    [`proto::Kind::Obs`] frame (bounded channel — a slow client
-//!    back-pressures the replay, it cannot balloon server memory),
-//!    while the connection thread polls the socket for `Cancel`.
+//!    back-pressures the replay, it cannot balloon server memory).
+//!    The connection splits in two: a reader thread blocks on the
+//!    socket and turns `Cancel` and `Status` into a cancel or a
+//!    channel message, and the connection thread is the one writer,
+//!    blocked on the channel until the session ends. Nothing polls.
 //!    Periodic checkpoints go to a rotated `.ctrs` family in the
 //!    session directory, so a killed server resumes every in-flight
 //!    session on restart ([`Server::resume_pending`]).
@@ -33,7 +36,7 @@
 //! shared `serve_metrics.jsonl` multiplex log.
 
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -46,7 +49,7 @@ use cnt_bench::driver::{
     TwoPassOutcome,
 };
 use cnt_bench::stream::CancelToken;
-use cnt_trace::crc32::crc32;
+use cnt_trace::crc32;
 use cnt_trace::{
     rotate, CheckpointError, CheckpointFile, CheckpointRotator, CorruptionPolicy, Header,
     ReadOptions, FRAME_BYTES, HEADER_BYTES,
@@ -72,13 +75,10 @@ pub struct ServerConfig {
     pub checkpoint_every: Option<u64>,
     /// Checkpoint generations kept per session (rotation + GC).
     pub checkpoint_keep: usize,
-    /// Read/write timeout while handshaking and spooling: a stalled or
-    /// vanished client cannot pin a session (or its budget lease)
-    /// forever.
+    /// Read timeout while handshaking and spooling, and write timeout
+    /// throughout: a stalled or vanished client cannot pin a session
+    /// (or its budget lease) forever.
     pub spool_timeout: Duration,
-    /// Socket poll interval during replay — the cadence at which
-    /// streamed obs frames drain and `Cancel` is noticed.
-    pub pump_interval: Duration,
     /// Directory of imported `.ctr` captures added to the server's
     /// workload registry (as `import/<stem>` ids) for registry-named
     /// sessions. `None` serves only the built-in `synth/*` kernels.
@@ -93,7 +93,6 @@ impl Default for ServerConfig {
             checkpoint_every: None,
             checkpoint_keep: 2,
             spool_timeout: Duration::from_secs(10),
-            pump_interval: Duration::from_millis(25),
             trace_dir: None,
         }
     }
@@ -238,50 +237,37 @@ impl Server {
         out
     }
 
-    /// Accepts and serves connections until `shutdown` becomes `true`
-    /// (checked between accepts) or `max_sessions` connections have
-    /// been fully handled (`None` = unbounded).
+    /// Accepts and serves connections, one handler thread each, then
+    /// joins the handlers and returns. The accept blocks: nothing
+    /// polls. It stops when either
+    ///
+    /// * `shutdown` is `true` when an accept returns — that connection
+    ///   is dropped unserved, so a caller stops the server by setting
+    ///   the flag and connecting once; or
+    /// * `max_sessions` connections have been accepted (`None` =
+    ///   unbounded) — no wake connection is needed.
     ///
     /// # Errors
     ///
     /// Fatal listener failures only; per-connection errors are
     /// reported to their client and logged.
     pub fn run(&self, shutdown: &AtomicBool, max_sessions: Option<u64>) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut handled: u64 = 0;
+        let mut accepted: u64 = 0;
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
+        while max_sessions.is_none_or(|max| accepted < max) {
+            let (stream, peer) = self.listener.accept()?;
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            if let Some(max) = max_sessions {
-                let done = handled - handlers.len() as u64
-                    + handlers.iter().filter(|h| h.is_finished()).count() as u64;
-                if done >= max {
-                    break;
-                }
+            accepted += 1;
+            eprintln!("serve: connection from {peer}");
+            // Reap finished handlers: a long-running server keeps no
+            // dead threads.
+            for finished in handlers.extract_if(.., |h| h.is_finished()) {
+                finished.join().ok();
             }
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    handled += 1;
-                    if let Some(max) = max_sessions {
-                        if handled > max {
-                            // Late connection beyond the cap: refuse.
-                            drop(stream);
-                            handled -= 1;
-                            continue;
-                        }
-                    }
-                    eprintln!("serve: connection from {peer}");
-                    let shared = Arc::clone(&self.shared);
-                    handlers.push(std::thread::spawn(move || handle_conn(&shared, stream)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    handlers.retain(|h| !h.is_finished());
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
-            }
+            let shared = Arc::clone(&self.shared);
+            handlers.push(std::thread::spawn(move || handle_conn(&shared, stream)));
         }
         for handle in handlers {
             handle.join().ok();
@@ -552,34 +538,45 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
         }
     }
 
-    // Phase 3: replay, streaming observability back.
+    // Phase 3: replay, streaming observability back. The reader half
+    // blocks on the socket with no timeout; this thread is the writer.
+    let Ok(reader_half) = stream.try_clone() else {
+        send_error(&mut stream, "io", true, "socket clone failed".into());
+        std::fs::remove_dir_all(&dir).ok();
+        return;
+    };
+    stream.set_read_timeout(None).ok();
     let cancel = CancelToken::new();
     let progress = Arc::new(AtomicU64::new(0));
-    let (sender, receiver) = mpsc::sync_channel::<String>(256);
+    let (sender, receiver) = mpsc::sync_channel::<Outbound>(256);
     let obs_stream = features & FEATURE_OBS_STREAM != 0 && open.metrics_every > 0;
 
     let end = {
         let shared: &Shared = shared;
+        let cancel = &cancel;
         std::thread::scope(|scope| {
+            let reader = {
+                let sender = sender.clone();
+                let sid = sid.as_str();
+                scope.spawn(move || read_requests(reader_half, sid, cancel, &sender))
+            };
             let session = scope.spawn(|| {
+                let _end = EndOnDrop(sender.clone());
                 run_session_thread(
                     shared,
                     &dir,
                     &meta,
-                    Some(&cancel),
+                    Some(cancel),
                     Some(sender),
                     Some(Arc::clone(&progress)),
                 )
             });
-            pump_connection(
-                &mut stream,
-                &sid,
-                &cancel,
-                &progress,
-                receiver,
-                obs_stream,
-                shared.cfg.pump_interval,
-            );
+            write_replay(&mut stream, &sid, cancel, &progress, receiver, obs_stream);
+            // The receiver is gone, so a reader blocked on a full channel
+            // wakes too; shutting the read half wakes one blocked on the
+            // socket.
+            stream.shutdown(Shutdown::Read).ok();
+            reader.join().ok();
             match session.join() {
                 Ok(Ok(done)) => SessionEnd::Done(done),
                 Ok(Err(end)) => end,
@@ -788,78 +785,101 @@ fn validate_chunk(payload: &[u8], chunk: u64) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// The connection thread's replay-phase loop: drain streamed obs lines
-/// to the socket, poll for `Cancel`/disconnect, answer `Status`.
-/// Returns when the session thread hangs up its channel.
-fn pump_connection(
+/// What the replay-phase writer sends or does next, in channel order.
+enum Outbound {
+    /// One streamed obs JSONL line from the session thread.
+    Obs(String),
+    /// The client asked for a status report.
+    Status,
+    /// The client sent a frame that is not valid during replay.
+    Unexpected(Kind),
+    /// The session thread returned or unwound; nothing follows.
+    End,
+}
+
+/// Sends [`Outbound::End`] when dropped, so the writer loop ends even
+/// when the session thread panics.
+struct EndOnDrop(mpsc::SyncSender<Outbound>);
+
+impl Drop for EndOnDrop {
+    fn drop(&mut self) {
+        self.0.send(Outbound::End).ok();
+    }
+}
+
+/// The replay-phase reader half: blocks on the socket for whole frames.
+/// `Cancel`, EOF and transport errors cancel the session at once, not
+/// behind queued obs lines; replies go to the writer as messages.
+/// Returns when the socket's read half closes or the writer is gone.
+fn read_requests(
+    mut stream: TcpStream,
+    sid: &str,
+    cancel: &CancelToken,
+    out: &mpsc::SyncSender<Outbound>,
+) {
+    loop {
+        let message = match read_frame(&mut stream) {
+            Ok((Kind::Cancel, _)) => {
+                eprintln!("serve: session {sid} received cancel");
+                cancel.cancel();
+                continue;
+            }
+            Ok((Kind::Status, _)) => Outbound::Status,
+            Ok((kind, _)) => Outbound::Unexpected(kind),
+            Err(_) => {
+                cancel.cancel();
+                return;
+            }
+        };
+        if out.send(message).is_err() {
+            return;
+        }
+    }
+}
+
+/// The replay-phase writer, the connection's only one: blocks on the
+/// channel and writes each message's frame in channel order, so obs
+/// lines leave exactly as the session streamed them. A failed write
+/// cancels the session; later messages are drained unwritten until
+/// [`Outbound::End`].
+fn write_replay(
     stream: &mut TcpStream,
     sid: &str,
     cancel: &CancelToken,
     progress: &AtomicU64,
-    receiver: mpsc::Receiver<String>,
+    receiver: mpsc::Receiver<Outbound>,
     obs_stream: bool,
-    pump_interval: Duration,
 ) {
-    stream.set_read_timeout(Some(pump_interval)).ok();
     let mut socket_live = true;
-    loop {
-        // Drain everything the session thread has streamed so far.
-        loop {
-            match receiver.try_recv() {
-                Ok(line) => {
-                    if obs_stream
-                        && socket_live
-                        && write_frame(stream, Kind::Obs, line.as_bytes()).is_err()
-                    {
-                        // Client gone: stop writing, tear the session
-                        // down at its next cancellation point.
-                        socket_live = false;
-                        cancel.cancel();
-                    }
-                }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => return,
-            }
-        }
-        if !socket_live {
-            // No socket to poll; wait on the channel alone.
-            match receiver.recv_timeout(pump_interval) {
-                Ok(line) => drop(line),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
-            }
-            continue;
-        }
-        // Poll the socket; the read timeout is the loop's tick.
-        match read_frame(stream) {
-            Ok((Kind::Cancel, _)) => {
-                eprintln!("serve: session {sid} received cancel");
-                cancel.cancel();
-            }
-            Ok((Kind::Status, _)) => {
+    while let Ok(message) = receiver.recv() {
+        let written = match message {
+            Outbound::End => return,
+            _ if !socket_live => continue,
+            Outbound::Obs(line) if obs_stream => write_frame(stream, Kind::Obs, line.as_bytes()),
+            Outbound::Obs(_) => continue,
+            Outbound::Status => {
                 let report = proto::StatusReport {
                     session: sid.to_string(),
                     phase: "replaying".to_string(),
                     progress: progress.load(Ordering::SeqCst),
                 };
-                if send_msg(stream, Kind::StatusReport, "StatusReport", &report).is_err() {
-                    socket_live = false;
-                    cancel.cancel();
-                }
+                send_msg(stream, Kind::StatusReport, "StatusReport", &report)
             }
-            Ok((kind, _)) => {
+            Outbound::Unexpected(kind) => {
                 send_error(
                     stream,
                     "unexpected-frame",
                     false,
                     format!("{kind:?} is not valid during replay"),
                 );
+                continue;
             }
-            Err(e) if e.is_timeout() => {}
-            Err(_) => {
-                socket_live = false;
-                cancel.cancel();
-            }
+        };
+        if written.is_err() {
+            // Client gone: stop writing, tear the session down at its
+            // next cancellation point.
+            socket_live = false;
+            cancel.cancel();
         }
     }
 }
@@ -896,7 +916,7 @@ fn run_session_thread(
     dir: &Path,
     meta: &SessionMeta,
     cancel: Option<&CancelToken>,
-    out: Option<mpsc::SyncSender<String>>,
+    out: Option<mpsc::SyncSender<Outbound>>,
     progress: Option<Arc<AtomicU64>>,
 ) -> Result<proto::Done, SessionEnd> {
     let fail = |what: String| SessionEnd::Failed(what);
@@ -916,7 +936,7 @@ fn run_session_thread(
                     // A full channel blocks here: a slow consumer
                     // back-pressures the replay instead of ballooning
                     // buffered snapshots.
-                    sender.send(line + "\n").ok();
+                    sender.send(Outbound::Obs(line + "\n")).ok();
                     if let Some(progress) = &progress {
                         progress.fetch_add(1, Ordering::SeqCst);
                     }

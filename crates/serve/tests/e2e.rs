@@ -10,10 +10,16 @@
 //! * **Crash resume** — a session interrupted mid-replay (checkpoint
 //!   family on disk, no `done` marker) is completed byte-identically by
 //!   `resume_pending` on the next server start.
+//! * **Accept contract** — `run` returns after `max_sessions`
+//!   connections with no wake, or after `shutdown` plus one connection.
+//! * **No tick** — a request that trickles in across a pause is still
+//!   answered mid-replay.
 
+use std::io::Write as _;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use cnt_bench::driver::{
@@ -22,10 +28,15 @@ use cnt_bench::driver::{
 use cnt_bench::pool;
 use cnt_bench::stream::CancelToken;
 use cnt_serve::client::{replay_file, Client, ClientError, Event};
-use cnt_serve::proto::OpenSession;
+use cnt_serve::proto::{
+    decode_msg, encode_msg, read_frame, read_hello, write_frame, write_hello, Hello, Kind,
+    OpenSession, StatusReport, FEATURE_OBS_STREAM,
+};
 use cnt_serve::{Server, ServerConfig};
+use cnt_trace::format::Frame;
 use cnt_trace::{
-    CheckpointError, CheckpointFile, CheckpointRotator, CorruptionPolicy, ReadOptions,
+    CheckpointError, CheckpointFile, CheckpointRotator, CorruptionPolicy, ReadOptions, FRAME_BYTES,
+    HEADER_BYTES,
 };
 use cnt_workloads::synthetic::SyntheticSpec;
 
@@ -126,8 +137,11 @@ impl TestServer {
         }
     }
 
+    /// Sets the flag and connects once: the blocking accept returns,
+    /// sees the flag, and the accept loop ends.
     fn stop(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        TcpStream::connect(&self.addr).expect("wake connection");
         self.handle.take().expect("running").join().expect("exits");
     }
 }
@@ -135,7 +149,6 @@ impl TestServer {
 fn quick_cfg() -> ServerConfig {
     ServerConfig {
         spool_timeout: Duration::from_secs(5),
-        pump_interval: Duration::from_millis(5),
         ..ServerConfig::default()
     }
 }
@@ -616,5 +629,150 @@ fn registry_named_sessions_replay_byte_identically_to_streamed_traces() {
         Err(ClientError::Rejected(e)) => assert_eq!(e.code, "admission"),
         other => panic!("expected an admission rejection, got {other:?}"),
     }
+    server.stop();
+}
+
+/// Runs `server` on its own thread and reports when `run` returns, so a
+/// test can bound the wait instead of hanging on a join.
+fn run_in_background(
+    server: Server,
+    shutdown: Arc<AtomicBool>,
+    max_sessions: Option<u64>,
+) -> mpsc::Receiver<std::io::Result<()>> {
+    let (returned, receiver) = mpsc::channel();
+    std::thread::spawn(move || {
+        returned.send(server.run(&shutdown, max_sessions)).ok();
+    });
+    receiver
+}
+
+#[test]
+fn run_returns_after_max_sessions_with_no_wake_connection() {
+    let scratch = Scratch::new("max_sessions");
+    let trace = scratch.path("t.ctr");
+    make_trace(&trace, 20_000);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            state_dir: scratch.path("state"),
+            ..quick_cfg()
+        },
+    )
+    .expect("binds");
+    let addr = server.local_addr().expect("addr").to_string();
+    let returned = run_in_background(server, Arc::new(AtomicBool::new(false)), Some(1));
+
+    let outcome = replay_file(&addr, &trace, 1, 0, |_| {}).expect("session completes");
+    assert!(outcome.done.accesses > 0);
+    returned
+        .recv_timeout(Duration::from_secs(60))
+        .expect("run returns once its one session is handled")
+        .expect("listener survives");
+}
+
+#[test]
+fn setting_shutdown_and_connecting_once_stops_run() {
+    let scratch = Scratch::new("shutdown");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            state_dir: scratch.path("state"),
+            ..quick_cfg()
+        },
+    )
+    .expect("binds");
+    let addr = server.local_addr().expect("addr").to_string();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let returned = run_in_background(server, Arc::clone(&shutdown), None);
+
+    // The flag alone wakes nothing: the accept blocks.
+    shutdown.store(true, Ordering::SeqCst);
+    assert!(returned.recv_timeout(Duration::from_millis(200)).is_err());
+    TcpStream::connect(&addr).expect("wake connection");
+    returned
+        .recv_timeout(Duration::from_secs(60))
+        .expect("run returns after the wake connection")
+        .expect("listener survives");
+}
+
+/// Opens a client-streamed session on a raw socket with the `proto`
+/// helpers: hello exchange, `OpenSession`, `Accepted`, then the trace's
+/// header, its chunks one frame each, and `Finish`.
+fn open_raw_session(addr: &str, trace: &Path, metrics_every: u64) -> TcpStream {
+    let bytes = std::fs::read(trace).expect("trace bytes");
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    write_hello(&mut stream, &Hello::ours(FEATURE_OBS_STREAM)).expect("hello");
+    read_hello(&mut stream).expect("server hello");
+    let open = OpenSession {
+        budget_mib: 1,
+        metrics_every,
+        trace_bytes: bytes.len() as u64,
+        workload: None,
+    };
+    let payload = encode_msg("OpenSession", &open).expect("encodes");
+    write_frame(&mut stream, Kind::OpenSession, &payload).expect("open");
+    let (kind, _) = read_frame(&mut stream).expect("admission reply");
+    assert_eq!(kind, Kind::Accepted);
+
+    let (header, mut rest) = bytes.split_at(HEADER_BYTES);
+    write_frame(&mut stream, Kind::TraceHeader, header).expect("header");
+    while !rest.is_empty() {
+        let frame: &[u8; FRAME_BYTES] = rest[..FRAME_BYTES].try_into().expect("frame");
+        let len = FRAME_BYTES + Frame::from_bytes(frame).payload_len as usize;
+        write_frame(&mut stream, Kind::Chunk, &rest[..len]).expect("chunk");
+        rest = &rest[len..];
+    }
+    write_frame(&mut stream, Kind::Finish, b"").expect("finish");
+    stream
+}
+
+/// A `Status` frame whose header arrives in two pieces 100 ms apart is
+/// still one frame: it is answered while the replay runs, and the obs
+/// stream around it is untouched.
+///
+/// The replay streams about 10 MB of obs lines, more than the socket
+/// buffers and the 256-line channel hold. The test reads nothing while
+/// it pauses, so back-pressure stalls the session mid-replay however
+/// fast the host is.
+#[test]
+fn a_status_frame_split_by_a_pause_is_answered_mid_replay() {
+    let scratch = Scratch::new("split_status");
+    let trace = scratch.path("t.ctr");
+    make_trace(&trace, 400_000);
+    let reference = offline_metrics(&trace, 1, 125);
+    let server = TestServer::start(scratch.path("state"), quick_cfg());
+
+    let mut status = Vec::new();
+    write_frame(&mut status, Kind::Status, b"").expect("encodes");
+    let mut stream = open_raw_session(&server.addr, &trace, 125);
+    let mut obs = String::new();
+    let mut report: Option<StatusReport> = None;
+    loop {
+        let (kind, payload) = read_frame(&mut stream).expect("frames flow until Done");
+        match kind {
+            Kind::Obs => {
+                if obs.is_empty() {
+                    // The replay is streaming: split the request.
+                    stream.write_all(&status[..6]).expect("first half");
+                    std::thread::sleep(Duration::from_millis(100));
+                    stream.write_all(&status[6..]).expect("second half");
+                }
+                obs.push_str(std::str::from_utf8(&payload).expect("UTF-8"));
+            }
+            Kind::StatusReport => {
+                assert!(report.is_none(), "one request, one report");
+                report = Some(decode_msg("StatusReport", &payload).expect("decodes"));
+            }
+            Kind::Done => break,
+            other => panic!("unexpected {other:?} frame"),
+        }
+    }
+    let report = report.expect("the status request is answered before Done");
+    assert_eq!(report.phase, "replaying");
+    assert!((report.progress as usize) < reference.lines().count());
+    assert_eq!(
+        obs, reference,
+        "the obs stream is unchanged around the reply"
+    );
     server.stop();
 }

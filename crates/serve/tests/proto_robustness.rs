@@ -116,8 +116,15 @@ fn test_server(name: &str) -> (String, Arc<AtomicBool>, std::thread::JoinHandle<
     (addr, shutdown, handle)
 }
 
-fn stop_server(state_name: &str, shutdown: &AtomicBool, handle: std::thread::JoinHandle<()>) {
+/// Sets the flag and connects once, which wakes the blocking accept.
+fn stop_server(
+    addr: &str,
+    state_name: &str,
+    shutdown: &AtomicBool,
+    handle: std::thread::JoinHandle<()>,
+) {
     shutdown.store(true, Ordering::SeqCst);
+    TcpStream::connect(addr).expect("wake connection");
     handle.join().expect("server thread exits");
     let state = std::env::temp_dir().join(format!(
         "cnt_serve_proto_{state_name}_{}",
@@ -181,7 +188,7 @@ fn version_skew_gets_a_typed_refusal_and_a_clean_close() {
 
     drop(stream);
     drop(second);
-    stop_server("skew", &shutdown, handle);
+    stop_server(&addr, "skew", &shutdown, handle);
 }
 
 /// An oversized length prefix after a valid handshake is refused with a
@@ -212,7 +219,7 @@ fn oversized_frames_are_refused_without_allocation() {
     assert_eq!(e.code, "oversized-frame");
 
     drop(stream);
-    stop_server("oversized", &shutdown, handle);
+    stop_server(&addr, "oversized", &shutdown, handle);
 }
 
 /// Pure garbage instead of a hello: `bad-magic`, clean close, server
@@ -233,7 +240,7 @@ fn garbage_handshake_is_refused() {
     assert_eq!(e.code, "bad-magic");
 
     drop(stream);
-    stop_server("garbage", &shutdown, handle);
+    stop_server(&addr, "garbage", &shutdown, handle);
 }
 
 /// A hello read on the server side must also be immune to a client that
@@ -255,7 +262,7 @@ fn instant_hangup_does_not_wedge_the_server() {
         .expect("timeout");
     stream.read_exact(&mut hello_back).expect("server answers");
     drop(stream);
-    stop_server("hangup", &shutdown, handle);
+    stop_server(&addr, "hangup", &shutdown, handle);
 }
 
 /// The hello reader itself rejects valid-magic, skewed-version input

@@ -38,7 +38,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::crc32::crc32;
+use crate::crc32;
 
 /// The eight magic bytes opening every `.ctrs` checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CNTCKPT\0";

@@ -15,7 +15,8 @@
 //! - [`reader`] — [`StreamReader`], which yields CRC-verified chunks
 //!   from any [`std::io::Read`] source under a hard byte budget, with
 //!   fail-fast or skip-with-report corruption handling;
-//! - [`crc32`] — the vendored CRC-32 (IEEE) used by frames;
+//! - [`crc32()`] — the CRC-32 (IEEE) every frame and section carries,
+//!   re-exported from the vendored `flate2` shim;
 //! - [`checkpoint`] — the `.ctrs` snapshot container, which reuses the
 //!   same framing discipline to make long streamed replays
 //!   kill-and-resume safe ([`CheckpointFile`], [`Checkpointable`],
@@ -36,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod crc32;
 pub mod error;
 pub mod format;
 pub mod reader;
@@ -48,6 +48,8 @@ pub use checkpoint::{
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FNV_OFFSET,
 };
 pub use error::TraceError;
+/// The workspace's one CRC-32 (IEEE, slicing-by-8), shared with gzip.
+pub use flate2::crc32;
 pub use format::{
     Header, FLAG_COMPRESSED, FRAME_BYTES, HEADER_BYTES, MAGIC, VERSION, VERSION_COMPRESSED,
 };

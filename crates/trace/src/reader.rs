@@ -30,7 +30,7 @@ use std::io::{Read, Seek, SeekFrom};
 use cnt_sim::trace::{AccessBatch, MemoryAccess, Trace};
 
 use crate::checkpoint::{fnv1a, fnv1a_extend};
-use crate::crc32::crc32;
+use crate::crc32;
 use crate::error::TraceError;
 use crate::format::{
     decode_payload, decode_payload_into, Frame, Header, FRAME_BYTES, HEADER_BYTES,

@@ -9,7 +9,7 @@ use std::io::Write;
 
 use cnt_sim::trace::{MemoryAccess, Trace};
 
-use crate::crc32::crc32;
+use crate::crc32;
 use crate::error::TraceError;
 use crate::format::{encode_access, Frame, Header, FLAG_COMPRESSED, VERSION, VERSION_COMPRESSED};
 
