@@ -143,7 +143,6 @@ fn run_per_workload_baseline(
     out: &str,
 ) -> Result<(), CmdError> {
     use cnt_bench::{WorkloadBenchRecord, WorkloadRow};
-    use cnt_cache::EncodingPolicy;
     use cnt_sim::trace::AccessKind;
     use cnt_workloads::WorkloadRegistry;
 
@@ -169,9 +168,7 @@ fn run_per_workload_baseline(
         loaded.push((entry.id.clone(), entry.source_kind(), workload));
     }
     let rows: Vec<WorkloadRow> = cnt_bench::pool::par_map(&loaded, |(id, source, workload)| {
-        let base = cnt_bench::runner::run_dcache(EncodingPolicy::None, &workload.trace);
-        let adaptive =
-            cnt_bench::runner::run_dcache(EncodingPolicy::adaptive_default(), &workload.trace);
+        let [base, adaptive] = cnt_bench::runner::run_dcache_pair(&workload.trace);
         let reads = workload
             .trace
             .iter()

@@ -34,7 +34,6 @@ use cnt_bench::driver::{
     SingleFileStore,
 };
 use cnt_bench::pool;
-use cnt_cache::EncodingPolicy;
 use cnt_import::{import_file, ImportOptions, SourceFormat};
 use cnt_sim::trace::Trace;
 use cnt_trace::{
@@ -202,8 +201,7 @@ fn cmd_replay(args: &[String]) -> Result<(), CmdError> {
     let path = one_positional(args, "trace path")?;
     let trace = load_text_or_json(path)?;
     print_stats(path, "external trace", &trace);
-    let base = cnt_bench::runner::run_dcache(EncodingPolicy::None, &trace);
-    let cnt = cnt_bench::runner::run_dcache(EncodingPolicy::adaptive_default(), &trace);
+    let [base, cnt] = cnt_bench::runner::run_dcache_pair(&trace);
     println!();
     print_comparison(&base, &cnt);
     Ok(())

@@ -3,18 +3,16 @@
 
 use std::fmt::Write as _;
 
-use cnt_cache::EncodingPolicy;
 use cnt_workloads::suite;
 
-use crate::runner::{mean, run_dcache};
+use crate::runner::{mean, run_dcache_pair};
 
 /// Runs the full suite and reports per-kernel savings for a quick look.
 pub fn calibrate() -> String {
     let mut out = String::new();
     let mut savings = Vec::new();
     for w in suite() {
-        let base = run_dcache(EncodingPolicy::None, &w.trace);
-        let cnt = run_dcache(EncodingPolicy::adaptive_default(), &w.trace);
+        let [base, cnt] = run_dcache_pair(&w.trace);
         let s = cnt.saving_vs(&base);
         savings.push(s);
         let _ = writeln!(

@@ -12,7 +12,7 @@ use cnt_cache::{CntCacheConfig, EncodingPolicy};
 use cnt_sim::WriteMode;
 use cnt_workloads::Workload;
 
-use crate::runner::{mean, run_trace};
+use crate::runner::{mean, run_lanes};
 
 /// The swept write modes.
 pub const MODES: [WriteMode; 3] = [
@@ -35,8 +35,13 @@ pub fn data(workloads: &[Workload]) -> Vec<(WriteMode, f64, f64)> {
         .iter()
         .map(|&mode| {
             let pairs = crate::pool::par_map(workloads, |w| {
-                let base = run_trace(config(mode, EncodingPolicy::None), &w.trace);
-                let cnt = run_trace(config(mode, EncodingPolicy::adaptive_default()), &w.trace);
+                let [base, cnt] = run_lanes(
+                    [
+                        config(mode, EncodingPolicy::None),
+                        config(mode, EncodingPolicy::adaptive_default()),
+                    ],
+                    &w.trace,
+                );
                 (base.total().femtojoules(), cnt.saving_vs(&base))
             });
             let baselines: Vec<f64> = pairs.iter().map(|&(b, _)| b).collect();

@@ -12,7 +12,7 @@ use cnt_encoding::BitPreference;
 use cnt_sim::PrefetchPolicy;
 use cnt_workloads::Workload;
 
-use crate::runner::{mean, run_trace};
+use crate::runner::{mean, run_lanes};
 
 fn config(prefetch: PrefetchPolicy, policy: EncodingPolicy) -> CntCacheConfig {
     CntCacheConfig::builder()
@@ -42,8 +42,13 @@ pub fn data(workloads: &[Workload]) -> Vec<(PrefetchPolicy, &'static str, f64, f
     for prefetch in [PrefetchPolicy::None, PrefetchPolicy::NextLine] {
         for (label, policy) in encoder_variants() {
             let pairs = crate::pool::par_map(workloads, |w| {
-                let base = run_trace(config(prefetch, EncodingPolicy::None), &w.trace);
-                let cnt = run_trace(config(prefetch, policy), &w.trace);
+                let [base, cnt] = run_lanes(
+                    [
+                        config(prefetch, EncodingPolicy::None),
+                        config(prefetch, policy),
+                    ],
+                    &w.trace,
+                );
                 (cnt.saving_vs(&base), cnt.stats.hit_rate())
             });
             let savings: Vec<f64> = pairs.iter().map(|&(s, _)| s).collect();

@@ -7,10 +7,9 @@
 
 use std::fmt::Write as _;
 
-use cnt_cache::EncodingPolicy;
 use cnt_workloads::synthetic::{AddressPattern, SyntheticSpec};
 
-use crate::runner::run_dcache;
+use crate::runner::run_dcache_pair;
 
 /// Swept read fractions.
 pub const READ_FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
@@ -28,8 +27,7 @@ pub fn cell(read_fraction: f64, ones_density: f64, accesses: usize) -> f64 {
         seed: 0xF18,
     };
     let trace = spec.generate();
-    let base = run_dcache(EncodingPolicy::None, &trace);
-    let cnt = run_dcache(EncodingPolicy::adaptive_default(), &trace);
+    let [base, cnt] = run_dcache_pair(&trace);
     cnt.saving_vs(&base)
 }
 

@@ -3,28 +3,29 @@
 
 use std::fmt::Write as _;
 
-use cnt_cache::EncodingPolicy;
+use cnt_cache::{CntCacheConfig, EncodingPolicy};
 use cnt_energy::SramEnergyModel;
 use cnt_workloads::Workload;
 
-use crate::runner::{geometric_mean, run_dcache_with_model};
+use crate::runner::{dcache_config, geometric_mean, run_lanes};
 
 /// `(name, cmos_fj, cnfet_fj, cnfet_cnt_fj)` rows.
 pub fn data(workloads: &[Workload]) -> Vec<(String, f64, f64, f64)> {
+    let config = |policy, energy| CntCacheConfig {
+        energy,
+        ..dcache_config("L1D", policy)
+    };
     crate::pool::par_map(workloads, |w| {
-        let cmos = run_dcache_with_model(
-            EncodingPolicy::None,
-            SramEnergyModel::cmos_default(),
-            &w.trace,
-        );
-        let cnfet = run_dcache_with_model(
-            EncodingPolicy::None,
-            SramEnergyModel::cnfet_default(),
-            &w.trace,
-        );
-        let cnt = run_dcache_with_model(
-            EncodingPolicy::adaptive_default(),
-            SramEnergyModel::cnfet_default(),
+        // One simulation, re-priced by three lanes.
+        let [cmos, cnfet, cnt] = run_lanes(
+            [
+                config(EncodingPolicy::None, SramEnergyModel::cmos_default()),
+                config(EncodingPolicy::None, SramEnergyModel::cnfet_default()),
+                config(
+                    EncodingPolicy::adaptive_default(),
+                    SramEnergyModel::cnfet_default(),
+                ),
+            ],
             &w.trace,
         );
         (

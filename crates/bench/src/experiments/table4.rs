@@ -8,14 +8,13 @@
 
 use std::fmt::Write as _;
 
-use cnt_cache::EncodingPolicy;
 use cnt_energy::{BitEnergies, Energy};
 use cnt_sim::{
     Address, ArrayObserver, Cache, CacheGeometry, LineLocation, MainMemory, ReplacementKind,
 };
 use cnt_workloads::Workload;
 
-use crate::runner::{mean, run_dcache};
+use crate::runner::{mean, run_dcache_pair};
 
 /// Accumulates the per-event oracle minimum at 64-bit granularity.
 struct OracleMeter {
@@ -99,8 +98,7 @@ pub fn oracle_total(trace: &cnt_sim::trace::Trace) -> Energy {
 /// `(name, oracle_saving, achieved_saving, efficiency)` rows.
 pub fn data(workloads: &[Workload]) -> Vec<(String, f64, f64, f64)> {
     crate::pool::par_map(workloads, |w| {
-        let base = run_dcache(EncodingPolicy::None, &w.trace);
-        let cnt = run_dcache(EncodingPolicy::adaptive_default(), &w.trace);
+        let [base, cnt] = run_dcache_pair(&w.trace);
         let oracle = oracle_total(&w.trace);
         let base_fj = base.total().femtojoules();
         let oracle_saving = (base_fj - oracle.femtojoules()) / base_fj * 100.0;

@@ -1,7 +1,7 @@
 //! Shared simulation plumbing for the experiments.
 
-use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EnergyReport};
-use cnt_energy::SramEnergyModel;
+use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EnergyReport, LaneGroup};
+use cnt_obs::Emitter;
 use cnt_sim::trace::{AccessBatch, Trace};
 use cnt_sim::ReplacementKind;
 use cnt_workloads::Workload;
@@ -25,23 +25,74 @@ pub fn dcache_config(name: &str, policy: EncodingPolicy) -> CntCacheConfig {
         .expect("static D-Cache geometry is valid")
 }
 
-/// Runs one trace to completion (including a final flush) under the given
-/// configuration and returns the report.
-///
-/// The replay goes through [`cnt_obs::replay`]: with no metrics sink
-/// installed that is the same allocation-free loop as [`CntCache::run`];
-/// with one installed (`--metrics-out`) it emits one snapshot per epoch
-/// under this replay's deterministic scope id.
+/// Replays `trace` once per group of configurations that
+/// [share a simulator](CntCacheConfig::shares_simulator), one encoding
+/// lane per config, and returns every config's report (after a final
+/// flush) in input order. Each report, and with a sink installed each
+/// snapshot stream and replay id, equals that of the config's solo
+/// [`CntCache`] replay in this scope. The registry counters
+/// `sim.accesses_simulated` and `sim.lane_accesses` record the sharing.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid or the trace contains malformed
+/// Panics if a configuration is invalid or the trace contains malformed
 /// accesses — both indicate harness bugs, not user errors.
+pub fn run_configs(configs: &[CntCacheConfig], trace: &Trace) -> Vec<EnergyReport> {
+    let mut emitters: Vec<Option<Emitter>> = cnt_obs::lane_emitters(configs.len())
+        .into_iter()
+        .map(Some)
+        .collect();
+    let mut reports: Vec<Option<EnergyReport>> = vec![None; configs.len()];
+    let mut pending: Vec<usize> = (0..configs.len()).collect();
+    while let Some(&first) = pending.first() {
+        let (lanes, rest): (Vec<usize>, Vec<usize>) = pending
+            .iter()
+            .partition(|&&i| configs[i].shares_simulator(&configs[first]));
+        pending = rest;
+        let mut group = LaneGroup::new(lanes.iter().map(|&i| configs[i].clone()).collect())
+            .expect("experiment configuration must be valid");
+        let mut lane_emitters: Vec<Emitter> = lanes
+            .iter()
+            .filter_map(|&i| emitters.get_mut(i).and_then(Option::take))
+            .collect();
+        let simulated = cnt_obs::replay_lanes(&mut group, trace, &mut lane_emitters)
+            .expect("experiment traces are well-formed") as u64;
+        group.flush();
+        let registry = cnt_obs::registry();
+        registry.counter("sim.accesses_simulated").add(simulated);
+        registry
+            .counter("sim.lane_accesses")
+            .add(simulated * lanes.len() as u64);
+        for (i, report) in lanes.into_iter().zip(group.into_reports()) {
+            reports[i] = Some(report);
+        }
+    }
+    reports
+        .into_iter()
+        .map(|r| r.expect("every config ran in its group"))
+        .collect()
+}
+
+/// [`run_configs`] over a fixed number of configurations, returning
+/// the reports as an array to destructure.
+///
+/// # Panics
+///
+/// As [`run_configs`].
+pub fn run_lanes<const K: usize>(configs: [CntCacheConfig; K], trace: &Trace) -> [EnergyReport; K] {
+    run_configs(&configs, trace)
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("run_configs returns one report per config"))
+}
+
+/// Runs one trace to completion under one configuration.
+///
+/// # Panics
+///
+/// As [`run_configs`].
 pub fn run_trace(config: CntCacheConfig, trace: &Trace) -> EnergyReport {
-    let mut cache = CntCache::new(config).expect("experiment configuration must be valid");
-    cnt_obs::replay(&mut cache, trace).expect("experiment traces are well-formed");
-    cache.flush();
-    cache.into_report()
+    let [report] = run_lanes([config], trace);
+    report
 }
 
 /// Runs a trace under the paper's D-Cache geometry with the given policy.
@@ -49,9 +100,21 @@ pub fn run_dcache(policy: EncodingPolicy, trace: &Trace) -> EnergyReport {
     run_trace(dcache_config("L1D", policy), trace)
 }
 
-/// Batched counterpart of [`run_trace`]: replays a prebuilt
-/// struct-of-arrays [`AccessBatch`]. Produces a report identical to
-/// [`run_trace`] over the same records.
+/// The D-Cache without encoding and under the paper's adaptive policy,
+/// as two lanes of one simulation: `[baseline, adaptive]`.
+pub fn run_dcache_pair(trace: &Trace) -> [EnergyReport; 2] {
+    run_lanes(
+        [
+            dcache_config("L1D", EncodingPolicy::None),
+            dcache_config("L1D", EncodingPolicy::adaptive_default()),
+        ],
+        trace,
+    )
+}
+
+/// Replays a prebuilt struct-of-arrays [`AccessBatch`] through a solo
+/// [`CntCache`]. Produces a report identical to [`run_trace`] over the
+/// same records.
 ///
 /// # Panics
 ///
@@ -68,48 +131,37 @@ pub fn run_dcache_batch(policy: EncodingPolicy, batch: &AccessBatch) -> EnergyRe
     run_trace_batch(dcache_config("L1D", policy), batch)
 }
 
-/// Runs a trace under the D-Cache geometry with a specific energy model.
-pub fn run_dcache_with_model(
-    policy: EncodingPolicy,
-    model: SramEnergyModel,
-    trace: &Trace,
-) -> EnergyReport {
-    let mut config = dcache_config("L1D", policy);
-    config.energy = model;
-    run_trace(config, trace)
-}
-
-/// Replays every (workload × policy) combination on the shared thread
-/// pool and returns, for each workload in input order, the reports in
-/// policy order.
+/// Replays every (workload × policy) combination, one pool job per
+/// workload whose policies are the lanes of one simulation, and returns,
+/// for each workload in input order, the reports in policy order.
 ///
 /// Each replay is an independent deterministic simulation, so the result
 /// is byte-identical to the equivalent nested sequential loops — only
-/// wall-clock time changes with the `--jobs` setting.
+/// wall-clock time changes with the `--jobs` setting. Lane `p` of
+/// workload `w` takes the replay id `…/i{w}/r{p}`.
 pub fn run_dcache_matrix(
     workloads: &[Workload],
     policies: &[EncodingPolicy],
 ) -> Vec<Vec<EnergyReport>> {
-    let jobs: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|w| (0..policies.len()).map(move |p| (w, p)))
-        .collect();
-    let mut reports = pool::par_map(&jobs, |&(w, p)| {
-        run_dcache(policies[p], &workloads[w].trace)
-    })
-    .into_iter();
-    workloads
+    let configs: Vec<CntCacheConfig> = policies
         .iter()
-        .map(|_| {
-            (0..policies.len())
-                .map(|_| reports.next().expect("one per job"))
-                .collect()
-        })
-        .collect()
+        .map(|&policy| dcache_config("L1D", policy))
+        .collect();
+    pool::par_map(workloads, |w| run_configs(&configs, &w.trace))
 }
 
-/// Replays one trace under several policies in parallel, in policy order.
+/// Replays one trace under several policies, in policy order: the
+/// one-workload [`run_dcache_matrix`] (replay ids `…/i0000/r{p}`).
 pub fn run_dcache_set(policies: &[EncodingPolicy], trace: &Trace) -> Vec<EnergyReport> {
-    pool::par_map(policies, |policy| run_dcache(*policy, trace))
+    let configs: Vec<CntCacheConfig> = policies
+        .iter()
+        .map(|&policy| dcache_config("L1D", policy))
+        .collect();
+    pool::par_map(std::slice::from_ref(trace), |trace| {
+        run_configs(&configs, trace)
+    })
+    .pop()
+    .expect("one trace, one report set")
 }
 
 /// Geometric-mean helper for relative metrics.

@@ -1,12 +1,17 @@
 //! [`CntCache`]: the adaptive-encoding CNFET cache with bit-exact dynamic
 //! energy accounting.
 //!
-//! The type composes the three substrates:
+//! The type composes two parts:
 //!
-//! * a data-carrying [`Cache`](cnt_sim::Cache) over a [`MainMemory`],
-//! * the [`cnt_encoding`] predictor/codec/FIFO stack,
-//! * a [`cnt_energy::EnergyMeter`] that prices every bit the SRAM array
-//!   moves.
+//! * the simulator: a data-carrying [`Cache`](cnt_sim::Cache) over a
+//!   [`MainMemory`];
+//! * an [`EncodingLane`]: the [`cnt_encoding`] predictor/codec/FIFO stack
+//!   and a [`cnt_energy::EnergyMeter`] that prices every bit the SRAM
+//!   array moves.
+//!
+//! No lane state feeds back into the simulator on a fault-free run, so a
+//! [`LaneGroup`](crate::LaneGroup) drives several lanes from one
+//! simulation through the same [`demand`] step.
 //!
 //! The *stored* array content is the logical content XOR the per-partition
 //! direction bits; correctness is structural (the XOR is an involution) and
@@ -118,30 +123,15 @@ pub struct ScrubReport {
     pub uncorrectable: u64,
 }
 
-/// The CNT-Cache: a CNFET data cache with (optional) adaptive encoding and
-/// full dynamic-energy accounting.
-///
-/// # Example
-///
-/// ```
-/// use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy};
-/// use cnt_sim::Address;
-///
-/// let config = CntCacheConfig::builder()
-///     .policy(EncodingPolicy::adaptive_default())
-///     .build()?;
-/// let mut cache = CntCache::new(config)?;
-///
-/// cache.write(Address::new(0x100), 8, 0xFF)?;
-/// assert_eq!(cache.read(Address::new(0x100), 8)?, 0xFF);
-/// assert!(cache.total_energy().femtojoules() > 0.0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
+/// One configuration's encoding state beside a simulated cache: codec,
+/// predictor, per-line D bits and H counters, FIFO, counters, meter and
+/// protection. It never changes a tag, hit or eviction, so lanes can
+/// share one simulation ([`LaneGroup`](crate::LaneGroup)); only the
+/// fault paths, reached through [`CntCache`]'s injection methods, write
+/// a line.
 #[derive(Debug)]
-pub struct CntCache {
+pub struct EncodingLane {
     config: CntCacheConfig,
-    cache: Cache,
-    memory: MainMemory,
     meter: EnergyMeter,
     codec: LineCodec,
     predictor: Option<DirectionPredictor>,
@@ -152,6 +142,8 @@ pub struct CntCache {
     fill_preference: Option<BitPreference>,
     inline_updates: bool,
     confirm_windows: u32,
+    /// Zero-flag compression: all-zero words skip the array, paying only
+    /// their (sidecar) flag access.
     zero_flag: bool,
     /// Effective protection mode: the configured one, or forced `None`
     /// for policies without direction bits.
@@ -166,26 +158,9 @@ pub struct CntCache {
     degraded_lines: Vec<Address>,
 }
 
-impl CntCache {
-    /// Builds the cache over fresh memory with the configured cold-fill
-    /// pattern.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the encoding policy is incompatible with
-    /// the geometry (e.g. partitions that do not divide the line).
-    pub fn new(config: CntCacheConfig) -> Result<Self, ConfigError> {
-        let memory = MainMemory::with_fill(config.fill_pattern);
-        CntCache::with_memory(config, memory)
-    }
-
-    /// Builds the cache over pre-populated memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the encoding policy is incompatible with
-    /// the geometry.
-    pub fn with_memory(config: CntCacheConfig, memory: MainMemory) -> Result<Self, ConfigError> {
+impl EncodingLane {
+    /// Builds the encoding state for `config`; fails as [`CntCache::new`].
+    pub(crate) fn new(config: CntCacheConfig) -> Result<Self, ConfigError> {
         let line_bits = config.geometry.line_bits();
         let partitions = config.policy.partitions();
         let (codec, predictor, adaptive) = match config.policy {
@@ -225,10 +200,6 @@ impl CntCache {
         } else {
             0
         };
-        let fill_preference = adaptive.and_then(|p| p.fill_preference);
-        let inline_updates = adaptive.is_some_and(|p| p.inline_updates);
-        let confirm_windows = adaptive.map_or(1, |p| p.confirm_windows.max(1));
-        let zero_flag = config.policy == EncodingPolicy::ZeroFlag;
         // Policies without direction bits have nothing to protect; forcing
         // `None` keeps their hot path byte-identical to the unprotected
         // build.
@@ -236,11 +207,6 @@ impl CntCache {
             EncodingPolicy::None | EncodingPolicy::ZeroFlag => ProtectionMode::None,
             EncodingPolicy::StaticInvert { .. } | EncodingPolicy::Adaptive(_) => config.protection,
         };
-
-        let cache = Cache::new(config.name.clone(), config.geometry, config.replacement)
-            .with_write_mode(config.write_mode)
-            .with_prefetch(config.prefetch);
-        let lines = config.geometry.num_lines() as usize;
         // The H counters live in the same protected metadata word as the
         // D bits; policies without a predictor carry a degenerate
         // single-access window that is never recorded into.
@@ -253,22 +219,20 @@ impl CntCache {
                 ProtectedDirectionBits::all_normal(codec.layout().partitions(), protection),
                 fresh_history,
             );
-            lines
+            config.geometry.num_lines() as usize
         ];
-        Ok(CntCache {
+        Ok(EncodingLane {
             meter: EnergyMeter::new(config.energy),
-            cache,
-            memory,
             codec,
             predictor,
             states,
             fifo: UpdateFifo::new(fifo_capacity, overflow),
             counters: EncodingCounters::default(),
             drain_per_access: drain,
-            fill_preference,
-            inline_updates,
-            confirm_windows,
-            zero_flag,
+            fill_preference: adaptive.and_then(|p| p.fill_preference),
+            inline_updates: adaptive.is_some_and(|p| p.inline_updates),
+            confirm_windows: adaptive.map_or(1, |p| p.confirm_windows.max(1)),
+            zero_flag: config.policy == EncodingPolicy::ZeroFlag,
             protection,
             fresh_history,
             fault_policy: config.fault_policy,
@@ -278,9 +242,604 @@ impl CntCache {
         })
     }
 
+    /// Updates currently queued in the deferred-update FIFO.
+    pub fn fifo_len(&self) -> usize {
+        self.fifo.len()
+    }
+
+    /// Capacity of the deferred-update FIFO.
+    pub fn fifo_capacity(&self) -> usize {
+        self.fifo.capacity()
+    }
+
+    fn line_index(&self, loc: LineLocation) -> usize {
+        (loc.set * u64::from(self.config.geometry.associativity()) + u64::from(loc.way)) as usize
+    }
+
+    /// Energy scale of the zero-flag sidecar array (zero when metadata
+    /// is not metered).
+    fn sidecar_scale(&self) -> f64 {
+        if self.config.meter_metadata {
+            self.config.metadata_energy_scale
+        } else {
+            0.0
+        }
+    }
+
+    /// Decode-path check: the metadata of the line holding `addr` (if
+    /// resident) is verified *before* its direction bits are trusted.
+    fn verify_before_use(&mut self, cache: &mut Cache, addr: Address) {
+        if self.protection != ProtectionMode::None {
+            if let Some(loc) = cache.find(addr) {
+                self.verify_line_metadata(cache, loc);
+            }
+        }
+    }
+
+    /// Line-transfer bookkeeping: the touched line gets one history event
+    /// (reads/writes at line granularity) and idle-slot draining runs.
+    fn after_line_transfer(&mut self, cache: &mut Cache, base: Address, is_write: bool) {
+        let Some(location) = cache.find(base) else {
+            return;
+        };
+        let outcome = AccessOutcome {
+            value: 0,
+            hit: true,
+            location: Some(location),
+            evicted: None,
+        };
+        self.after_demand(cache, &outcome, is_write);
+    }
+
+    /// Post-access bookkeeping: metadata energy, window prediction, and
+    /// idle-slot draining.
+    fn after_demand(&mut self, cache: &mut Cache, outcome: &AccessOutcome, is_write: bool) {
+        // Write-around stores never touch the array: nothing to account.
+        let Some(location) = outcome.location else {
+            return;
+        };
+        let idx = self.line_index(location);
+
+        // Every access under an encoding policy reads the line's H&D field.
+        let metadata_bits = self
+            .config
+            .policy
+            .metadata_bits_per_line(self.config.geometry.line_bits());
+        // Zero-flag charges its flag bits precisely in the observer, so the
+        // generic whole-field metadata charge below must not double-count.
+        if self.config.meter_metadata && metadata_bits > 0 && !self.zero_flag {
+            let state = &self.states[idx];
+            let ones = state.dirs.inverted_count()
+                + state.history.accesses().count_ones()
+                + state.history.writes().count_ones();
+            self.meter.charge_read_bits_scaled(
+                ones.min(metadata_bits),
+                metadata_bits,
+                ChargeKind::MetadataRead,
+                self.config.metadata_energy_scale,
+            );
+        }
+
+        let Some(predictor) = &self.predictor else {
+            return;
+        };
+
+        if self.states[idx].pinned {
+            // FallbackBaseline: the line sits out the predictor entirely
+            // until it is replaced.
+            return;
+        }
+
+        let summary = predictor.observe_protected(&mut self.states[idx].history, is_write);
+
+        if self.config.meter_metadata {
+            // The history counters are re-written on every access.
+            let hist_bits = AccessHistory::storage_bits(predictor.config().window);
+            let state = &self.states[idx];
+            let ones = (state.history.accesses().count_ones()
+                + state.history.writes().count_ones())
+            .min(hist_bits);
+            self.meter.charge_write_bits_scaled(
+                ones,
+                hist_bits,
+                ChargeKind::MetadataWrite,
+                self.config.metadata_energy_scale,
+            );
+        }
+
+        if let Some(summary) = summary {
+            self.counters.windows += 1;
+
+            // Sticky classifier: require `confirm_windows` consecutive
+            // windows with the same pattern before allowing a switch.
+            let confirmed = if self.confirm_windows <= 1 {
+                true
+            } else {
+                let pattern = predictor.table().pattern(summary.wr_num);
+                let state = &mut self.states[idx];
+                if state.last_pattern == Some(pattern) {
+                    state.streak = state.streak.saturating_add(1);
+                } else {
+                    state.streak = 1;
+                }
+                state.last_pattern = Some(pattern);
+                state.streak >= self.confirm_windows
+            };
+
+            if confirmed {
+                let line = cache.line_at(location);
+                let decision = predictor.decide(summary, line.as_words(), &self.states[idx].dirs);
+                if decision.switches() {
+                    self.counters.switch_decisions += 1;
+                    self.counters.projected_saving_fj += decision.projected_saving_fj;
+                    if self.inline_updates {
+                        // No FIFO: the re-encode stalls the demand path.
+                        let flips = decision.flips;
+                        self.apply_update(
+                            cache,
+                            location,
+                            flips,
+                            decision.projected_saving_fj,
+                            true,
+                        );
+                    } else {
+                        self.fifo.push(PendingUpdate {
+                            set: location.set,
+                            way: location.way,
+                            flips: decision.flips,
+                            saving_fj: decision.projected_saving_fj,
+                        });
+                    }
+                }
+            } else {
+                self.counters.suppressed_by_confirmation += 1;
+            }
+        }
+
+        // A hit leaves fill bandwidth idle: drain deferred updates.
+        if outcome.hit {
+            for _ in 0..self.drain_per_access {
+                if !self.apply_one_pending(cache) {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Verifies the protected direction metadata of the line at `loc`,
+    /// repairing correctable upsets in place (metadata register *and*
+    /// decoded data view) and invoking the fault policy on uncorrectable
+    /// ones. No-op for invalid lines or when protection is off.
+    ///
+    /// Only an injected upset makes a verdict other than `Clean`, so
+    /// only then does this write into `cache`.
+    fn verify_line_metadata(&mut self, cache: &mut Cache, loc: LineLocation) -> ProtectionVerdict {
+        if self.protection == ProtectionMode::None || !cache.line_at(loc).is_valid() {
+            return ProtectionVerdict::Clean;
+        }
+        let idx = self.line_index(loc);
+        if self.config.meter_metadata {
+            // The check bits are read out alongside the D field.
+            let dirs = &self.states[idx].dirs;
+            self.meter.charge_read_bits_scaled(
+                dirs.check_ones(),
+                dirs.check_storage_bits(),
+                ChargeKind::ProtectionCheck,
+                self.config.metadata_energy_scale,
+            );
+        }
+        // The H counters ride in the same protected metadata word as the
+        // D bits: verify and repair them first. A history fault never
+        // endangers stored data — the worst case is a skewed prediction —
+        // so an uncorrectable one resets the window (a lost window, never
+        // a silent skew) instead of firing the line fault policy. The
+        // check is deliberately unmetered; DESIGN.md §14 explains why.
+        let history_verdict = self.states[idx].history.verify_and_repair();
+        match history_verdict {
+            ProtectionVerdict::Clean => {}
+            ProtectionVerdict::CorrectedData(_) | ProtectionVerdict::CorrectedCheck => {
+                self.reliability.faults_detected += 1;
+                self.reliability.faults_corrected += 1;
+            }
+            ProtectionVerdict::Uncorrectable => {
+                self.reliability.faults_detected += 1;
+                self.reliability.faults_uncorrected += 1;
+                self.states[idx].history.reset();
+            }
+        }
+        let verdict = self.states[idx].dirs.verify_and_repair();
+        match verdict {
+            ProtectionVerdict::Clean => {}
+            ProtectionVerdict::CorrectedData(p) => {
+                self.reliability.faults_detected += 1;
+                self.reliability.faults_corrected += 1;
+                // The metadata register was repaired; now restore the
+                // decoded view. The stored array bits were never wrong —
+                // only the direction lying about them — so re-deriving
+                // the logical partition is an exact inverse of the upset.
+                let (start, len) = self.codec.layout().range(p);
+                let line = cache.line_at_mut(loc);
+                cnt_encoding::popcount::invert_range(line.as_words_mut(), start, len);
+                self.charge_protection_repair(idx);
+            }
+            ProtectionVerdict::CorrectedCheck => {
+                self.reliability.faults_detected += 1;
+                self.reliability.faults_corrected += 1;
+                self.charge_protection_repair(idx);
+            }
+            ProtectionVerdict::Uncorrectable => {
+                self.reliability.faults_detected += 1;
+                self.reliability.faults_uncorrected += 1;
+                self.handle_uncorrectable(cache, loc, idx);
+            }
+        }
+        worse_verdict(verdict, history_verdict)
+    }
+
+    /// Charges the re-write of the protected D register after a repair.
+    fn charge_protection_repair(&mut self, idx: usize) {
+        if self.config.meter_metadata {
+            let dirs = &self.states[idx].dirs;
+            self.meter.charge_write_bits_scaled(
+                dirs.bits().inverted_count() + dirs.check_ones(),
+                dirs.storage_bits(),
+                ChargeKind::ProtectionUpdate,
+                self.config.metadata_energy_scale,
+            );
+        }
+    }
+
+    /// Executes the configured [`MetadataFaultPolicy`] on the line at
+    /// `loc`, whose direction vector can no longer be trusted.
+    fn handle_uncorrectable(&mut self, cache: &mut Cache, loc: LineLocation, idx: usize) {
+        let base = cache.line_base_at(loc);
+        match self.fault_policy {
+            MetadataFaultPolicy::Panic => panic!(
+                "uncorrectable direction-metadata fault at {base} (set {}, way {})",
+                loc.set, loc.way
+            ),
+            MetadataFaultPolicy::InvalidateLine => {
+                self.degraded_lines.push(base);
+                self.fifo.cancel_where(|u| u.location() == loc);
+                let was_dirty = cache.line_at_mut(loc).invalidate();
+                if was_dirty {
+                    // Unwritten stores are lost — detected data loss,
+                    // never silent: the base is in the degraded log.
+                    self.reliability.dirty_lines_invalidated += 1;
+                }
+                self.reliability.lines_invalidated += 1;
+                self.states[idx] = LineState::fresh(
+                    ProtectedDirectionBits::all_normal(
+                        self.codec.layout().partitions(),
+                        self.protection,
+                    ),
+                    self.fresh_history,
+                );
+            }
+            MetadataFaultPolicy::FallbackBaseline => {
+                self.degraded_lines.push(base);
+                self.fifo.cancel_where(|u| u.location() == loc);
+                // The array's physical content becomes the logical
+                // truth: re-derive the logical view under the untrusted
+                // direction belief, then declare every partition normal
+                // and pin the line so the predictor leaves it alone.
+                let dirs_mask = self.states[idx].dirs.mask();
+                for p in 0..self.codec.layout().partitions() {
+                    if dirs_mask >> p & 1 == 1 {
+                        let (start, len) = self.codec.layout().range(p);
+                        let line = cache.line_at_mut(loc);
+                        cnt_encoding::popcount::invert_range(line.as_words_mut(), start, len);
+                    }
+                }
+                self.states[idx].dirs.normalize();
+                self.states[idx].pinned = true;
+                self.reliability.lines_pinned += 1;
+                self.charge_protection_repair(idx);
+            }
+        }
+    }
+
+    /// Verifies every valid line's metadata (used by flush and scrub).
+    fn sweep_metadata(&mut self, cache: &mut Cache) -> ScrubReport {
+        let mut report = ScrubReport::default();
+        if self.protection == ProtectionMode::None {
+            return report;
+        }
+        for set in 0..self.config.geometry.num_sets() {
+            for way in 0..self.config.geometry.associativity() {
+                let loc = LineLocation { set, way };
+                if !cache.line_at(loc).is_valid() {
+                    continue;
+                }
+                report.lines_checked += 1;
+                match self.verify_line_metadata(cache, loc) {
+                    ProtectionVerdict::Clean => {}
+                    ProtectionVerdict::CorrectedData(_) | ProtectionVerdict::CorrectedCheck => {
+                        report.corrected += 1;
+                    }
+                    ProtectionVerdict::Uncorrectable => report.uncorrectable += 1,
+                }
+            }
+        }
+        report
+    }
+
+    /// Applies the oldest pending re-encoding, charging the switch write.
+    /// Returns `false` when the FIFO is empty.
+    fn apply_one_pending(&mut self, cache: &mut Cache) -> bool {
+        let Some(update) = self.fifo.pop() else {
+            return false;
+        };
+        self.apply_update(
+            cache,
+            update.location(),
+            update.flips,
+            update.saving_fj,
+            false,
+        );
+        true
+    }
+
+    /// Re-encodes the line at `loc` by flipping `flips`, charging the
+    /// switch writes. `inline` marks the flips as demand-path stalls.
+    fn apply_update(
+        &mut self,
+        cache: &mut Cache,
+        loc: LineLocation,
+        flips: u64,
+        saving_fj: f64,
+        inline: bool,
+    ) {
+        // The queued decision was made against metadata that may have
+        // upset since: verify (and possibly degrade) before re-encoding.
+        if self.protection != ProtectionMode::None {
+            self.verify_line_metadata(cache, loc);
+        }
+        let idx = self.line_index(loc);
+        let line = cache.line_at(loc);
+        if !line.is_valid() {
+            // Fills cancel their location's pending updates, so this is
+            // reached only after a whole-cache reset or a fault-policy
+            // invalidation that raced the drain; drop silently.
+            return;
+        }
+        if self.states[idx].pinned {
+            // FallbackBaseline pinned the line to normal encoding.
+            return;
+        }
+        let state = &mut self.states[idx];
+        state.dirs.apply_flips(flips);
+        state.history.reset();
+        let layout = *self.codec.layout();
+        let partition_bits = layout.partition_bits();
+        // Raw (pre-direction) popcounts of the flipped partitions, on the
+        // stack so this path stays free of per-update heap allocation.
+        // A multi-flip update re-counts the whole line in one unrolled
+        // u64×4 pass; a single flip counts just its own range.
+        let mut raw_counts = [0u32; cnt_encoding::MAX_PARTITIONS];
+        let partitions = layout.partitions();
+        if flips.count_ones() > 1 && partition_bits.is_multiple_of(64) {
+            cnt_encoding::popcount::popcount_word_partitions(
+                line.as_words(),
+                (partition_bits / 64) as usize,
+                &mut raw_counts[..partitions as usize],
+            );
+        } else {
+            for p in 0..partitions {
+                if flips >> p & 1 == 1 {
+                    let (start, len) = layout.range(p);
+                    raw_counts[p as usize] =
+                        cnt_encoding::popcount::popcount_range(line.as_words(), start, len);
+                }
+            }
+        }
+        // Only flipped partitions are charged.
+        for p in 0..partitions {
+            if flips >> p & 1 == 1 {
+                let raw = raw_counts[p as usize];
+                let ones = if state.dirs.is_inverted(p) {
+                    partition_bits - raw
+                } else {
+                    raw
+                };
+                self.meter
+                    .charge_write_bits_kind(ones, partition_bits, ChargeKind::EncodeSwitch);
+                self.counters.partition_flips += 1;
+                if inline {
+                    self.counters.inline_partition_flips += 1;
+                }
+            }
+        }
+        if self.config.meter_metadata {
+            // The direction bits themselves are re-written.
+            let state = &self.states[idx];
+            self.meter.charge_write_bits_scaled(
+                state.dirs.bits().inverted_count(),
+                state.dirs.bits().storage_bits(),
+                ChargeKind::MetadataWrite,
+                self.config.metadata_energy_scale,
+            );
+            if self.protection != ProtectionMode::None {
+                // ... and so are their protection check bits.
+                self.meter.charge_write_bits_scaled(
+                    state.dirs.check_ones(),
+                    state.dirs.check_storage_bits(),
+                    ChargeKind::ProtectionUpdate,
+                    self.config.metadata_energy_scale,
+                );
+            }
+        }
+        self.counters.switches_applied += 1;
+        // Projected savings realize only when the switch actually lands:
+        // decisions dropped on FIFO overflow or cancelled by an eviction
+        // never add here, which is exactly the projected/realized gap the
+        // observability snapshots expose.
+        self.counters.realized_saving_fj += saving_fj;
+    }
+
+    /// Applies every queued re-encoding, returning how many were applied.
+    fn drain_pending(&mut self, cache: &mut Cache) -> usize {
+        let mut n = 0;
+        while self.apply_one_pending(cache) {
+            n += 1;
+        }
+        n
+    }
+
+    /// H&D metadata bits per line, including protection check bits.
+    fn total_metadata_bits_per_line(&self) -> u32 {
+        self.config
+            .policy
+            .metadata_bits_per_line(self.config.geometry.line_bits())
+            + self.protection.check_bits(self.codec.layout().partitions())
+    }
+
+    /// The lane's report over its simulated cache's `stats`.
+    pub fn report(&self, stats: CacheStats) -> EnergyReport {
+        EnergyReport {
+            name: self.config.name.clone(),
+            policy: self.config.policy.to_string(),
+            technology: self.config.energy.technology(),
+            breakdown: self.meter.breakdown().clone(),
+            stats,
+            encoding: self.counters,
+            fifo: *self.fifo.stats(),
+            metadata_bits_per_line: self.total_metadata_bits_per_line(),
+            reliability: self.reliability,
+        }
+    }
+
+    /// [`report`](Self::report), moving the name and breakdown instead of
+    /// cloning them.
+    pub(crate) fn into_report(mut self, stats: CacheStats) -> EnergyReport {
+        let metadata_bits_per_line = self.total_metadata_bits_per_line();
+        EnergyReport {
+            name: std::mem::take(&mut self.config.name),
+            policy: self.config.policy.to_string(),
+            technology: self.config.energy.technology(),
+            breakdown: self.meter.take_breakdown(),
+            stats,
+            encoding: self.counters,
+            fifo: *self.fifo.stats(),
+            metadata_bits_per_line,
+            reliability: self.reliability,
+        }
+    }
+}
+
+/// The lanes one simulated cache feeds, as its [`ArrayObserver`]: a lone
+/// [`EncodingLane`] (dispatched statically) or a
+/// [`LaneGroup`](crate::LaneGroup)'s fan-out.
+pub(crate) trait Lanes: ArrayObserver {
+    /// Calls `f` on every lane, in lane order.
+    fn each(&mut self, f: impl FnMut(&mut EncodingLane));
+}
+
+impl Lanes for EncodingLane {
+    fn each(&mut self, mut f: impl FnMut(&mut EncodingLane)) {
+        f(self);
+    }
+}
+
+/// One demand access: every lane verifies the metadata it is about to
+/// trust, the cache performs the access while the lanes meter its array
+/// events, and every lane then runs its post-access bookkeeping.
+pub(crate) fn demand<L: Lanes>(
+    cache: &mut Cache,
+    lower: &mut dyn Backing,
+    lanes: &mut L,
+    access: &MemoryAccess,
+) -> Result<AccessOutcome, AccessError> {
+    let MemoryAccess {
+        addr, width, value, ..
+    } = *access;
+    // An uncorrectable fault may invalidate the line here, turning the
+    // access into a clean refetch miss.
+    lanes.each(|lane| lane.verify_before_use(cache, addr));
+    let outcome = if access.is_write() {
+        cache.write_outcome(addr, width, value, lower, lanes)?
+    } else {
+        cache.read_outcome(addr, width, lower, lanes)?
+    };
+    lanes.each(|lane| lane.after_demand(cache, &outcome, access.is_write()));
+    Ok(outcome)
+}
+
+/// Drains every lane's pending updates, then writes all dirty lines back
+/// to `lower` (charging write-back reads), returning the number written
+/// back.
+pub(crate) fn flush<L: Lanes>(cache: &mut Cache, lower: &mut dyn Backing, lanes: &mut L) -> usize {
+    lanes.each(|lane| {
+        // Every line's directions are about to be trusted for the final
+        // write-back: verify them all first (not counted as a scrub pass).
+        lane.sweep_metadata(cache);
+        lane.drain_pending(cache);
+    });
+    cache.flush(lower, lanes)
+}
+
+/// The CNT-Cache: a CNFET data cache with (optional) adaptive encoding and
+/// full dynamic-energy accounting — one simulated cache plus one
+/// [`EncodingLane`].
+///
+/// # Example
+///
+/// ```
+/// use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy};
+/// use cnt_sim::Address;
+///
+/// let config = CntCacheConfig::builder()
+///     .policy(EncodingPolicy::adaptive_default())
+///     .build()?;
+/// let mut cache = CntCache::new(config)?;
+///
+/// cache.write(Address::new(0x100), 8, 0xFF)?;
+/// assert_eq!(cache.read(Address::new(0x100), 8)?, 0xFF);
+/// assert!(cache.total_energy().femtojoules() > 0.0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct CntCache {
+    cache: Cache,
+    memory: MainMemory,
+    lane: EncodingLane,
+}
+
+impl CntCache {
+    /// Builds the cache over fresh memory with the configured cold-fill
+    /// pattern.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if the encoding policy is incompatible with
+    /// the geometry (e.g. partitions that do not divide the line).
+    pub fn new(config: CntCacheConfig) -> Result<Self, ConfigError> {
+        let memory = MainMemory::with_fill(config.fill_pattern);
+        CntCache::with_memory(config, memory)
+    }
+
+    /// Builds the cache over pre-populated memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if the encoding policy is incompatible with
+    /// the geometry.
+    pub fn with_memory(config: CntCacheConfig, memory: MainMemory) -> Result<Self, ConfigError> {
+        Ok(CntCache {
+            cache: config.simulator(),
+            memory,
+            lane: EncodingLane::new(config)?,
+        })
+    }
+
     /// The configuration.
     pub fn config(&self) -> &CntCacheConfig {
-        &self.config
+        &self.lane.config
+    }
+
+    /// The encoding lane: everything this cache keeps beside its lines.
+    pub fn lane(&self) -> &EncodingLane {
+        &self.lane
     }
 
     /// Hit/miss statistics of the underlying cache.
@@ -290,28 +849,28 @@ impl CntCache {
 
     /// Total dynamic energy accumulated so far.
     pub fn total_energy(&self) -> cnt_energy::Energy {
-        self.meter.total()
+        self.lane.meter.total()
     }
 
     /// The energy meter (for breakdown inspection).
     pub fn meter(&self) -> &EnergyMeter {
-        &self.meter
+        &self.lane.meter
     }
 
     /// Encoding activity counters.
     pub fn encoding_counters(&self) -> &EncodingCounters {
-        &self.counters
+        &self.lane.counters
     }
 
     /// Metadata-protection and fault-handling counters.
     pub fn reliability_counters(&self) -> &ReliabilityCounters {
-        &self.reliability
+        &self.lane.reliability
     }
 
     /// The *effective* protection mode: the configured one, or `None`
     /// when the encoding policy carries no direction bits.
     pub fn protection(&self) -> ProtectionMode {
-        self.protection
+        self.lane.protection
     }
 
     /// Base addresses of lines degraded by the fault policy (invalidated
@@ -319,12 +878,12 @@ impl CntCache {
     /// order. Campaigns use this to attribute end-of-run corruption as
     /// *detected* (the line is in this log) versus *silent*.
     pub fn degraded_line_bases(&self) -> &[Address] {
-        &self.degraded_lines
+        &self.lane.degraded_lines
     }
 
     /// Encoding partitions per line in the active codec layout.
     pub fn partitions(&self) -> u32 {
-        self.codec.layout().partitions()
+        self.lane.codec.layout().partitions()
     }
 
     /// Number of currently valid (resident) lines.
@@ -346,23 +905,23 @@ impl CntCache {
     }
 
     /// Pending-update FIFO statistics.
-    pub fn fifo_stats(&self) -> &cnt_encoding::FifoStats {
-        self.fifo.stats()
+    pub fn fifo_stats(&self) -> &FifoStats {
+        self.lane.fifo.stats()
     }
 
     /// Updates currently queued in the deferred-update FIFO.
     pub fn fifo_len(&self) -> usize {
-        self.fifo.len()
+        self.lane.fifo_len()
     }
 
     /// Capacity of the deferred-update FIFO.
     pub fn fifo_capacity(&self) -> usize {
-        self.fifo.capacity()
+        self.lane.fifo_capacity()
     }
 
     /// The cache's display name (e.g. `L1D`).
     pub fn name(&self) -> &str {
-        &self.config.name
+        &self.lane.config.name
     }
 
     /// The backing memory.
@@ -378,10 +937,7 @@ impl CntCache {
     ///
     /// Returns [`AccessError`] for malformed accesses.
     pub fn access(&mut self, access: &MemoryAccess) -> Result<AccessOutcome, AccessError> {
-        let mut memory = std::mem::take(&mut self.memory);
-        let result = self.access_through(access, &mut memory);
-        self.memory = memory;
-        result
+        demand(&mut self.cache, &mut self.memory, &mut self.lane, access)
     }
 
     /// Reads `width` bytes at `addr`.
@@ -466,22 +1022,7 @@ impl CntCache {
         access: &MemoryAccess,
         lower: &mut dyn Backing,
     ) -> Result<AccessOutcome, AccessError> {
-        let MemoryAccess {
-            addr, width, value, ..
-        } = *access;
-        // An uncorrectable fault may invalidate the line here, turning the
-        // access into a clean refetch miss.
-        self.verify_before_use(addr);
-        let outcome = {
-            let (cache, mut observer) = self.metered();
-            if access.is_write() {
-                cache.write_outcome(addr, width, value, lower, &mut observer)?
-            } else {
-                cache.read_outcome(addr, width, lower, &mut observer)?
-            }
-        };
-        self.after_demand(&outcome, access.is_write());
-        Ok(outcome)
+        demand(&mut self.cache, lower, &mut self.lane, access)
     }
 
     /// Serves a whole-line read for an upper cache level, with full
@@ -504,324 +1045,14 @@ impl CntCache {
         lower: &mut dyn Backing,
         transfer: impl FnOnce(&mut CacheLevel<'_>),
     ) {
-        self.verify_before_use(base);
-        let (cache, mut observer) = self.metered();
+        self.lane.verify_before_use(&mut self.cache, base);
         transfer(&mut CacheLevel {
-            cache,
+            cache: &mut self.cache,
             lower,
-            observer: &mut observer,
+            observer: &mut self.lane,
         });
-        self.after_line_transfer(base, is_write);
-    }
-
-    /// Decode-path check: the metadata of the line holding `addr` (if
-    /// resident) is verified *before* its direction bits are trusted.
-    fn verify_before_use(&mut self, addr: Address) {
-        if self.protection != ProtectionMode::None {
-            if let Some(loc) = self.cache.find(addr) {
-                self.verify_line_metadata(loc);
-            }
-        }
-    }
-
-    /// Splits the cache from the observer that meters its array events.
-    fn metered(&mut self) -> (&mut Cache, MeterObserver<'_>) {
-        let observer = MeterObserver {
-            meter: &mut self.meter,
-            states: &mut self.states,
-            codec: &self.codec,
-            fifo: &mut self.fifo,
-            ways: self.config.geometry.associativity(),
-            fill_preference: self.fill_preference,
-            zero_flag: self.zero_flag,
-            protection: self.protection,
-            fresh_history: self.fresh_history,
-            metadata_scale: if self.config.meter_metadata {
-                self.config.metadata_energy_scale
-            } else {
-                0.0
-            },
-        };
-        (&mut self.cache, observer)
-    }
-
-    /// Line-transfer bookkeeping: the touched line gets one history event
-    /// (reads/writes at line granularity) and idle-slot draining runs.
-    fn after_line_transfer(&mut self, base: Address, is_write: bool) {
-        let Some(location) = self.cache.find(base) else {
-            return;
-        };
-        let outcome = AccessOutcome {
-            value: 0,
-            hit: true,
-            location: Some(location),
-            evicted: None,
-        };
-        self.after_demand(&outcome, is_write);
-    }
-
-    /// Post-access bookkeeping: metadata energy, window prediction, and
-    /// idle-slot draining.
-    fn after_demand(&mut self, outcome: &AccessOutcome, is_write: bool) {
-        // Write-around stores never touch the array: nothing to account.
-        let Some(location) = outcome.location else {
-            return;
-        };
-        let idx = self.line_index(location);
-
-        // Every access under an encoding policy reads the line's H&D field.
-        let metadata_bits = self
-            .config
-            .policy
-            .metadata_bits_per_line(self.config.geometry.line_bits());
-        // Zero-flag charges its flag bits precisely in the observer, so the
-        // generic whole-field metadata charge below must not double-count.
-        if self.config.meter_metadata && metadata_bits > 0 && !self.zero_flag {
-            let state = &self.states[idx];
-            let ones = state.dirs.inverted_count()
-                + state.history.accesses().count_ones()
-                + state.history.writes().count_ones();
-            self.meter.charge_read_bits_scaled(
-                ones.min(metadata_bits),
-                metadata_bits,
-                ChargeKind::MetadataRead,
-                self.config.metadata_energy_scale,
-            );
-        }
-
-        let Some(predictor) = &self.predictor else {
-            return;
-        };
-
-        if self.states[idx].pinned {
-            // FallbackBaseline: the line sits out the predictor entirely
-            // until it is replaced.
-            return;
-        }
-
-        let summary = predictor.observe_protected(&mut self.states[idx].history, is_write);
-
-        if self.config.meter_metadata {
-            // The history counters are re-written on every access.
-            let hist_bits = AccessHistory::storage_bits(predictor.config().window);
-            let state = &self.states[idx];
-            let ones = (state.history.accesses().count_ones()
-                + state.history.writes().count_ones())
-            .min(hist_bits);
-            self.meter.charge_write_bits_scaled(
-                ones,
-                hist_bits,
-                ChargeKind::MetadataWrite,
-                self.config.metadata_energy_scale,
-            );
-        }
-
-        if let Some(summary) = summary {
-            self.counters.windows += 1;
-
-            // Sticky classifier: require `confirm_windows` consecutive
-            // windows with the same pattern before allowing a switch.
-            let confirmed = if self.confirm_windows <= 1 {
-                true
-            } else {
-                let pattern = predictor.table().pattern(summary.wr_num);
-                let state = &mut self.states[idx];
-                if state.last_pattern == Some(pattern) {
-                    state.streak = state.streak.saturating_add(1);
-                } else {
-                    state.streak = 1;
-                }
-                state.last_pattern = Some(pattern);
-                state.streak >= self.confirm_windows
-            };
-
-            if confirmed {
-                let line = self.cache.line_at(location);
-                let decision = predictor.decide(summary, line.as_words(), &self.states[idx].dirs);
-                if decision.switches() {
-                    self.counters.switch_decisions += 1;
-                    self.counters.projected_saving_fj += decision.projected_saving_fj;
-                    if self.inline_updates {
-                        // No FIFO: the re-encode stalls the demand path.
-                        let flips = decision.flips;
-                        self.apply_update(location, flips, decision.projected_saving_fj, true);
-                    } else {
-                        self.fifo.push(PendingUpdate {
-                            set: location.set,
-                            way: location.way,
-                            flips: decision.flips,
-                            saving_fj: decision.projected_saving_fj,
-                        });
-                    }
-                }
-            } else {
-                self.counters.suppressed_by_confirmation += 1;
-            }
-        }
-
-        // A hit leaves fill bandwidth idle: drain deferred updates.
-        if outcome.hit {
-            for _ in 0..self.drain_per_access {
-                if !self.apply_one_pending() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Verifies the protected direction metadata of the line at `loc`,
-    /// repairing correctable upsets in place (metadata register *and*
-    /// decoded data view) and invoking the fault policy on uncorrectable
-    /// ones. No-op for invalid lines or when protection is off.
-    fn verify_line_metadata(&mut self, loc: LineLocation) -> ProtectionVerdict {
-        if self.protection == ProtectionMode::None || !self.cache.line_at(loc).is_valid() {
-            return ProtectionVerdict::Clean;
-        }
-        let idx = self.line_index(loc);
-        if self.config.meter_metadata {
-            // The check bits are read out alongside the D field.
-            let dirs = &self.states[idx].dirs;
-            self.meter.charge_read_bits_scaled(
-                dirs.check_ones(),
-                dirs.check_storage_bits(),
-                ChargeKind::ProtectionCheck,
-                self.config.metadata_energy_scale,
-            );
-        }
-        // The H counters ride in the same protected metadata word as the
-        // D bits: verify and repair them first. A history fault never
-        // endangers stored data — the worst case is a skewed prediction —
-        // so an uncorrectable one resets the window (a lost window, never
-        // a silent skew) instead of firing the line fault policy. The
-        // check is deliberately unmetered; DESIGN.md §14 explains why.
-        let history_verdict = self.states[idx].history.verify_and_repair();
-        match history_verdict {
-            ProtectionVerdict::Clean => {}
-            ProtectionVerdict::CorrectedData(_) | ProtectionVerdict::CorrectedCheck => {
-                self.reliability.faults_detected += 1;
-                self.reliability.faults_corrected += 1;
-            }
-            ProtectionVerdict::Uncorrectable => {
-                self.reliability.faults_detected += 1;
-                self.reliability.faults_uncorrected += 1;
-                self.states[idx].history.reset();
-            }
-        }
-        let verdict = self.states[idx].dirs.verify_and_repair();
-        match verdict {
-            ProtectionVerdict::Clean => {}
-            ProtectionVerdict::CorrectedData(p) => {
-                self.reliability.faults_detected += 1;
-                self.reliability.faults_corrected += 1;
-                // The metadata register was repaired; now restore the
-                // decoded view. The stored array bits were never wrong —
-                // only the direction lying about them — so re-deriving
-                // the logical partition is an exact inverse of the upset.
-                let (start, len) = self.codec.layout().range(p);
-                let line = self.cache.line_at_mut(loc);
-                cnt_encoding::popcount::invert_range(line.as_words_mut(), start, len);
-                self.charge_protection_repair(idx);
-            }
-            ProtectionVerdict::CorrectedCheck => {
-                self.reliability.faults_detected += 1;
-                self.reliability.faults_corrected += 1;
-                self.charge_protection_repair(idx);
-            }
-            ProtectionVerdict::Uncorrectable => {
-                self.reliability.faults_detected += 1;
-                self.reliability.faults_uncorrected += 1;
-                self.handle_uncorrectable(loc, idx);
-            }
-        }
-        worse_verdict(verdict, history_verdict)
-    }
-
-    /// Charges the re-write of the protected D register after a repair.
-    fn charge_protection_repair(&mut self, idx: usize) {
-        if self.config.meter_metadata {
-            let dirs = &self.states[idx].dirs;
-            self.meter.charge_write_bits_scaled(
-                dirs.bits().inverted_count() + dirs.check_ones(),
-                dirs.storage_bits(),
-                ChargeKind::ProtectionUpdate,
-                self.config.metadata_energy_scale,
-            );
-        }
-    }
-
-    /// Executes the configured [`MetadataFaultPolicy`] on the line at
-    /// `loc`, whose direction vector can no longer be trusted.
-    fn handle_uncorrectable(&mut self, loc: LineLocation, idx: usize) {
-        let base = self.cache.line_base_at(loc);
-        match self.fault_policy {
-            MetadataFaultPolicy::Panic => panic!(
-                "uncorrectable direction-metadata fault at {base} (set {}, way {})",
-                loc.set, loc.way
-            ),
-            MetadataFaultPolicy::InvalidateLine => {
-                self.degraded_lines.push(base);
-                self.fifo.cancel_where(|u| u.location() == loc);
-                let was_dirty = self.cache.line_at_mut(loc).invalidate();
-                if was_dirty {
-                    // Unwritten stores are lost — detected data loss,
-                    // never silent: the base is in the degraded log.
-                    self.reliability.dirty_lines_invalidated += 1;
-                }
-                self.reliability.lines_invalidated += 1;
-                self.states[idx] = LineState::fresh(
-                    ProtectedDirectionBits::all_normal(
-                        self.codec.layout().partitions(),
-                        self.protection,
-                    ),
-                    self.fresh_history,
-                );
-            }
-            MetadataFaultPolicy::FallbackBaseline => {
-                self.degraded_lines.push(base);
-                self.fifo.cancel_where(|u| u.location() == loc);
-                // The array's physical content becomes the logical
-                // truth: re-derive the logical view under the untrusted
-                // direction belief, then declare every partition normal
-                // and pin the line so the predictor leaves it alone.
-                let dirs_mask = self.states[idx].dirs.mask();
-                for p in 0..self.codec.layout().partitions() {
-                    if dirs_mask >> p & 1 == 1 {
-                        let (start, len) = self.codec.layout().range(p);
-                        let line = self.cache.line_at_mut(loc);
-                        cnt_encoding::popcount::invert_range(line.as_words_mut(), start, len);
-                    }
-                }
-                self.states[idx].dirs.normalize();
-                self.states[idx].pinned = true;
-                self.reliability.lines_pinned += 1;
-                self.charge_protection_repair(idx);
-            }
-        }
-    }
-
-    /// Verifies every valid line's metadata (used by flush and scrub).
-    fn sweep_metadata(&mut self) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        if self.protection == ProtectionMode::None {
-            return report;
-        }
-        for set in 0..self.config.geometry.num_sets() {
-            for way in 0..self.config.geometry.associativity() {
-                let loc = LineLocation { set, way };
-                if !self.cache.line_at(loc).is_valid() {
-                    continue;
-                }
-                report.lines_checked += 1;
-                match self.verify_line_metadata(loc) {
-                    ProtectionVerdict::Clean => {}
-                    ProtectionVerdict::CorrectedData(_) | ProtectionVerdict::CorrectedCheck => {
-                        report.corrected += 1;
-                    }
-                    ProtectionVerdict::Uncorrectable => report.uncorrectable += 1,
-                }
-            }
-        }
-        report
+        self.lane
+            .after_line_transfer(&mut self.cache, base, is_write);
     }
 
     /// One background scrub pass: verifies (and repairs where possible)
@@ -829,181 +1060,40 @@ impl CntCache {
     /// every N accesses so upsets on idle lines are caught before a
     /// second one lands and defeats SECDED.
     pub fn scrub_metadata(&mut self) -> ScrubReport {
-        let report = self.sweep_metadata();
-        self.reliability.scrub_passes += 1;
-        self.reliability.scrub_lines_checked += report.lines_checked;
+        let report = self.lane.sweep_metadata(&mut self.cache);
+        self.lane.reliability.scrub_passes += 1;
+        self.lane.reliability.scrub_lines_checked += report.lines_checked;
         report
-    }
-
-    /// Applies the oldest pending re-encoding, charging the switch write.
-    /// Returns `false` when the FIFO is empty.
-    fn apply_one_pending(&mut self) -> bool {
-        let Some(update) = self.fifo.pop() else {
-            return false;
-        };
-        self.apply_update(update.location(), update.flips, update.saving_fj, false);
-        true
-    }
-
-    /// Re-encodes the line at `loc` by flipping `flips`, charging the
-    /// switch writes. `inline` marks the flips as demand-path stalls.
-    fn apply_update(&mut self, loc: LineLocation, flips: u64, saving_fj: f64, inline: bool) {
-        // The queued decision was made against metadata that may have
-        // upset since: verify (and possibly degrade) before re-encoding.
-        if self.protection != ProtectionMode::None {
-            self.verify_line_metadata(loc);
-        }
-        let idx = self.line_index(loc);
-        let line = self.cache.line_at(loc);
-        if !line.is_valid() {
-            // Fills cancel their location's pending updates, so this is
-            // reached only after a whole-cache reset or a fault-policy
-            // invalidation that raced the drain; drop silently.
-            return;
-        }
-        if self.states[idx].pinned {
-            // FallbackBaseline pinned the line to normal encoding.
-            return;
-        }
-        let state = &mut self.states[idx];
-        state.dirs.apply_flips(flips);
-        state.history.reset();
-        let layout = *self.codec.layout();
-        let partition_bits = layout.partition_bits();
-        // Raw (pre-direction) popcounts of the flipped partitions, on the
-        // stack so this path stays free of per-update heap allocation.
-        // A multi-flip update re-counts the whole line in one unrolled
-        // u64×4 pass; a single flip counts just its own range.
-        let mut raw_counts = [0u32; cnt_encoding::MAX_PARTITIONS];
-        let partitions = layout.partitions();
-        if flips.count_ones() > 1 && partition_bits.is_multiple_of(64) {
-            cnt_encoding::popcount::popcount_word_partitions(
-                line.as_words(),
-                (partition_bits / 64) as usize,
-                &mut raw_counts[..partitions as usize],
-            );
-        } else {
-            for p in 0..partitions {
-                if flips >> p & 1 == 1 {
-                    let (start, len) = layout.range(p);
-                    raw_counts[p as usize] =
-                        cnt_encoding::popcount::popcount_range(line.as_words(), start, len);
-                }
-            }
-        }
-        // Only flipped partitions are charged.
-        for p in 0..partitions {
-            if flips >> p & 1 == 1 {
-                let raw = raw_counts[p as usize];
-                let ones = if state.dirs.is_inverted(p) {
-                    partition_bits - raw
-                } else {
-                    raw
-                };
-                self.meter
-                    .charge_write_bits_kind(ones, partition_bits, ChargeKind::EncodeSwitch);
-                self.counters.partition_flips += 1;
-                if inline {
-                    self.counters.inline_partition_flips += 1;
-                }
-            }
-        }
-        if self.config.meter_metadata {
-            // The direction bits themselves are re-written.
-            let state = &self.states[idx];
-            self.meter.charge_write_bits_scaled(
-                state.dirs.bits().inverted_count(),
-                state.dirs.bits().storage_bits(),
-                ChargeKind::MetadataWrite,
-                self.config.metadata_energy_scale,
-            );
-            if self.protection != ProtectionMode::None {
-                // ... and so are their protection check bits.
-                self.meter.charge_write_bits_scaled(
-                    state.dirs.check_ones(),
-                    state.dirs.check_storage_bits(),
-                    ChargeKind::ProtectionUpdate,
-                    self.config.metadata_energy_scale,
-                );
-            }
-        }
-        self.counters.switches_applied += 1;
-        // Projected savings realize only when the switch actually lands:
-        // decisions dropped on FIFO overflow or cancelled by an eviction
-        // never add here, which is exactly the projected/realized gap the
-        // observability snapshots expose.
-        self.counters.realized_saving_fj += saving_fj;
     }
 
     /// Applies every queued re-encoding immediately (e.g. before a
     /// simulation-ending flush), returning how many were applied.
     pub fn drain_pending(&mut self) -> usize {
-        let mut n = 0;
-        while self.apply_one_pending() {
-            n += 1;
-        }
-        n
+        self.lane.drain_pending(&mut self.cache)
     }
 
     /// Drains pending updates, then writes all dirty lines back to memory
     /// (charging write-back reads), returning the number written back.
     pub fn flush(&mut self) -> usize {
-        let mut memory = std::mem::take(&mut self.memory);
-        let written = self.flush_through(&mut memory);
-        self.memory = memory;
-        written
+        flush(&mut self.cache, &mut self.memory, &mut self.lane)
     }
 
     /// [`flush`](Self::flush) against an external backing (for stacked
     /// levels).
     pub fn flush_through(&mut self, lower: &mut dyn Backing) -> usize {
-        // Every line's directions are about to be trusted for the final
-        // write-back: verify them all first (not counted as a scrub pass).
-        self.sweep_metadata();
-        self.drain_pending();
-        let (cache, mut observer) = self.metered();
-        cache.flush(lower, &mut observer)
-    }
-
-    /// H&D metadata bits per line, including protection check bits.
-    fn total_metadata_bits_per_line(&self) -> u32 {
-        self.config
-            .policy
-            .metadata_bits_per_line(self.config.geometry.line_bits())
-            + self.protection.check_bits(self.codec.layout().partitions())
+        flush(&mut self.cache, lower, &mut self.lane)
     }
 
     /// Produces the full energy/activity report.
     pub fn report(&self) -> EnergyReport {
-        EnergyReport {
-            name: self.config.name.clone(),
-            policy: self.config.policy.to_string(),
-            technology: self.config.energy.technology(),
-            breakdown: self.meter.breakdown().clone(),
-            stats: self.cache.stats().clone(),
-            encoding: self.counters,
-            fifo: *self.fifo.stats(),
-            metadata_bits_per_line: self.total_metadata_bits_per_line(),
-            reliability: self.reliability,
-        }
+        self.lane.report(self.cache.stats().clone())
     }
 
     /// [`report`](Self::report), but consuming the cache: the accumulated
     /// breakdown, statistics, and name move into the report instead of
     /// being cloned. Use at end of run when the cache is done.
-    pub fn into_report(mut self) -> EnergyReport {
-        let metadata_bits_per_line = self.total_metadata_bits_per_line();
-        EnergyReport {
-            name: std::mem::take(&mut self.config.name),
-            policy: self.config.policy.to_string(),
-            technology: self.config.energy.technology(),
-            breakdown: self.meter.take_breakdown(),
-            stats: self.cache.into_stats(),
-            encoding: self.counters,
-            fifo: *self.fifo.stats(),
-            metadata_bits_per_line,
-            reliability: self.reliability,
-        }
+    pub fn into_report(self) -> EnergyReport {
+        self.lane.into_report(self.cache.into_stats())
     }
 
     /// The direction bits of the (valid) line at `loc`.
@@ -1012,7 +1102,7 @@ impl CntCache {
     ///
     /// Panics if `loc` is out of range.
     pub fn direction_bits(&self, loc: LineLocation) -> &DirectionBits {
-        self.states[self.line_index(loc)].dirs.bits()
+        self.lane.states[self.lane.line_index(loc)].dirs.bits()
     }
 
     /// The protected direction metadata (vector + check bits) of the
@@ -1022,7 +1112,7 @@ impl CntCache {
     ///
     /// Panics if `loc` is out of range.
     pub fn protected_direction_bits(&self, loc: LineLocation) -> &ProtectedDirectionBits {
-        &self.states[self.line_index(loc)].dirs
+        &self.lane.states[self.lane.line_index(loc)].dirs
     }
 
     /// Materializes the *stored* (encoded) form of the line at `loc`, as
@@ -1036,8 +1126,11 @@ impl CntCache {
         if !line.is_valid() {
             return None;
         }
-        let dirs = self.states[self.line_index(loc)].dirs.bits();
-        Some(self.codec.apply(line.as_words(), dirs))
+        Some(
+            self.lane
+                .codec
+                .apply(line.as_words(), self.direction_bits(loc)),
+        )
     }
 
     /// Iterates over all valid lines as `(location, logical line,
@@ -1045,11 +1138,7 @@ impl CntCache {
     pub fn valid_lines(&self) -> impl Iterator<Item = (LineLocation, &CacheLine, &DirectionBits)> {
         self.cache
             .valid_lines()
-            .map(move |(loc, line)| (loc, line, self.states[self.line_index(loc)].dirs.bits()))
-    }
-
-    fn line_index(&self, loc: LineLocation) -> usize {
-        (loc.set * u64::from(self.config.geometry.associativity()) + u64::from(loc.way)) as usize
+            .map(move |(loc, line)| (loc, line, self.direction_bits(loc)))
     }
 
     /// Fault injection for reliability studies: flips the stored direction
@@ -1067,12 +1156,13 @@ impl CntCache {
         if !self.cache.line_at(loc).is_valid() {
             return false;
         }
-        let idx = self.line_index(loc);
+        let lane = &mut self.lane;
+        let idx = lane.line_index(loc);
         // `upset_direction` (not a legal update) leaves the protection
         // check bits stale — exactly what a particle strike does, and what
         // the next verification must catch.
-        self.states[idx].dirs.upset_direction(partition);
-        self.reliability.faults_injected += 1;
+        lane.states[idx].dirs.upset_direction(partition);
+        lane.reliability.faults_injected += 1;
         // The simulator stores *logical* data and derives the physical
         // stored bits as `logical ^ direction`. A metadata upset leaves
         // the physical bits untouched while the direction lies about
@@ -1081,7 +1171,7 @@ impl CntCache {
         // `logical' ^ direction' = logical ^ direction` stays fixed, and
         // every subsequent read returns corrupted data, exactly as in
         // hardware. The dirty flag is preserved (an upset is not a write).
-        let (start, len) = self.codec.layout().range(partition);
+        let (start, len) = lane.codec.layout().range(partition);
         let line = self.cache.line_at_mut(loc);
         // Mutating through `as_words_mut` leaves the dirty flag alone,
         // which is exactly right: an upset is not a write.
@@ -1101,16 +1191,9 @@ impl CntCache {
     ///
     /// Panics if `loc` is out of range.
     pub fn inject_check_fault(&mut self, loc: LineLocation, bit: u32) -> bool {
-        if !self.cache.line_at(loc).is_valid() {
-            return false;
-        }
-        let idx = self.line_index(loc);
-        if bit >= self.states[idx].dirs.check_storage_bits() {
-            return false;
-        }
-        self.states[idx].dirs.upset_check(bit);
-        self.reliability.faults_injected += 1;
-        true
+        self.inject_metadata_fault(loc, |state| {
+            (bit < state.dirs.check_storage_bits()).then(|| state.dirs.upset_check(bit))
+        })
     }
 
     /// Fault injection into the history (H) counters: flips stored bit
@@ -1127,22 +1210,15 @@ impl CntCache {
     ///
     /// Panics if `loc` is out of range.
     pub fn inject_history_fault(&mut self, loc: LineLocation, bit: u32) -> bool {
-        if !self.cache.line_at(loc).is_valid() {
-            return false;
-        }
-        let idx = self.line_index(loc);
-        if bit >= self.states[idx].history.data_bits() {
-            return false;
-        }
-        self.states[idx].history.upset_bit(bit);
-        self.reliability.faults_injected += 1;
-        true
+        self.inject_metadata_fault(loc, |state| {
+            (bit < state.history.data_bits()).then(|| state.history.upset_bit(bit))
+        })
     }
 
     /// Stored data bits of each line's history (H) register — the valid
     /// `bit` range for [`inject_history_fault`](Self::inject_history_fault).
     pub fn history_data_bits(&self) -> u32 {
-        self.fresh_history.data_bits()
+        self.lane.fresh_history.data_bits()
     }
 
     /// Fault injection into the history register's protection *check*
@@ -1157,16 +1233,27 @@ impl CntCache {
     ///
     /// Panics if `loc` is out of range.
     pub fn inject_history_check_fault(&mut self, loc: LineLocation, bit: u32) -> bool {
+        self.inject_metadata_fault(loc, |state| {
+            (bit < state.history.check_storage_bits()).then(|| state.history.upset_check(bit))
+        })
+    }
+
+    /// Applies `upset` to the metadata of the valid line at `loc`,
+    /// counting the injection when `upset` accepts its bit index.
+    fn inject_metadata_fault(
+        &mut self,
+        loc: LineLocation,
+        upset: impl FnOnce(&mut LineState) -> Option<()>,
+    ) -> bool {
         if !self.cache.line_at(loc).is_valid() {
             return false;
         }
-        let idx = self.line_index(loc);
-        if bit >= self.states[idx].history.check_storage_bits() {
-            return false;
+        let idx = self.lane.line_index(loc);
+        let injected = upset(&mut self.lane.states[idx]).is_some();
+        if injected {
+            self.lane.reliability.faults_injected += 1;
         }
-        self.states[idx].history.upset_check(bit);
-        self.reliability.faults_injected += 1;
-        true
+        injected
     }
 
     /// Audits the cache's internal invariants: per-line metadata shape,
@@ -1177,34 +1264,35 @@ impl CntCache {
     ///
     /// Returns an [`AuditError`] describing the first violated invariant.
     pub fn audit(&self) -> Result<(), AuditError> {
-        let geometry = &self.config.geometry;
+        let lane = &self.lane;
+        let geometry = &lane.config.geometry;
         let expected_states = geometry.num_lines() as usize;
-        if self.states.len() != expected_states {
+        if lane.states.len() != expected_states {
             return Err(AuditError::new(format!(
                 "state table holds {} entries, geometry has {expected_states} lines",
-                self.states.len()
+                lane.states.len()
             )));
         }
-        let partitions = self.codec.layout().partitions();
-        let window = self.predictor.as_ref().map(|p| p.config().window);
-        for (i, state) in self.states.iter().enumerate() {
+        let partitions = lane.codec.layout().partitions();
+        let window = lane.predictor.as_ref().map(|p| p.config().window);
+        for (i, state) in lane.states.iter().enumerate() {
             if state.dirs.partitions() != partitions {
                 return Err(AuditError::new(format!(
                     "line {i}: direction bits track {} partitions, codec has {partitions}",
                     state.dirs.partitions()
                 )));
             }
-            if state.history.window() != self.fresh_history.window() {
+            if state.history.window() != lane.fresh_history.window() {
                 return Err(AuditError::new(format!(
                     "line {i}: history register window {} does not match the cache's {}",
                     state.history.window(),
-                    self.fresh_history.window()
+                    lane.fresh_history.window()
                 )));
             }
             // Counter-bound invariants hold on fault-free runs; injected
             // history upsets legitimately push the counters out of range
             // until the next verification repairs or resets them.
-            if self.reliability.faults_injected == 0 {
+            if lane.reliability.faults_injected == 0 {
                 if state.history.writes() > state.history.accesses() {
                     return Err(AuditError::new(format!(
                         "line {i}: write counter {} exceeds access counter {}",
@@ -1224,7 +1312,7 @@ impl CntCache {
             // On a fault-free run the protection code must be clean for
             // every line; only injected upsets may break it (until the
             // next verification repairs or degrades the line).
-            if self.reliability.faults_injected == 0
+            if lane.reliability.faults_injected == 0
                 && state.dirs.verdict() != ProtectionVerdict::Clean
             {
                 return Err(AuditError::new(format!(
@@ -1238,7 +1326,7 @@ impl CntCache {
         } else {
             (1u64 << partitions) - 1
         };
-        for update in self.fifo.iter() {
+        for update in lane.fifo.iter() {
             if update.set >= geometry.num_sets()
                 || u64::from(update.way) >= u64::from(geometry.associativity())
             {
@@ -1278,16 +1366,17 @@ impl CntCache {
     /// configuration (codec, predictor, threshold table) is *not*
     /// captured — it is rebuilt identically on restore.
     pub(crate) fn checkpoint_data(&self) -> CacheCheckpoint {
+        let lane = &self.lane;
         CacheCheckpoint {
             cache: self.cache.snapshot(),
             memory: self.memory.snapshot(),
-            states: self.states.clone(),
-            fifo_queue: self.fifo.iter().copied().collect(),
-            fifo_stats: *self.fifo.stats(),
-            counters: self.counters,
-            reliability: self.reliability,
-            degraded_lines: self.degraded_lines.clone(),
-            breakdown: self.meter.breakdown().clone(),
+            states: lane.states.clone(),
+            fifo_queue: lane.fifo.iter().copied().collect(),
+            fifo_stats: *lane.fifo.stats(),
+            counters: lane.counters,
+            reliability: lane.reliability,
+            degraded_lines: lane.degraded_lines.clone(),
+            breakdown: lane.meter.breakdown().clone(),
         }
     }
 
@@ -1295,14 +1384,15 @@ impl CntCache {
     /// against the live configuration *before* mutating anything: on
     /// error the cache is exactly as it was (never a partial restore).
     pub(crate) fn restore_from(&mut self, ckpt: CacheCheckpoint) -> Result<(), String> {
-        let expected = self.config.geometry.num_lines() as usize;
+        let lane = &mut self.lane;
+        let expected = lane.config.geometry.num_lines() as usize;
         if ckpt.states.len() != expected {
             return Err(format!(
                 "checkpoint carries {} line states, geometry has {expected} lines",
                 ckpt.states.len()
             ));
         }
-        let partitions = self.codec.layout().partitions();
+        let partitions = lane.codec.layout().partitions();
         for (i, s) in ckpt.states.iter().enumerate() {
             if s.dirs.partitions() != partitions {
                 return Err(format!(
@@ -1310,31 +1400,31 @@ impl CntCache {
                     s.dirs.partitions()
                 ));
             }
-            if s.dirs.mode() != self.protection {
+            if s.dirs.mode() != lane.protection {
                 return Err(format!(
                     "line {i}: direction protection {:?} does not match the configured {:?}",
                     s.dirs.mode(),
-                    self.protection
+                    lane.protection
                 ));
             }
-            if s.history.window() != self.fresh_history.window() {
+            if s.history.window() != lane.fresh_history.window() {
                 return Err(format!(
                     "line {i}: history window {} does not match the configured {}",
                     s.history.window(),
-                    self.fresh_history.window()
+                    lane.fresh_history.window()
                 ));
             }
-            if s.history.mode() != self.protection {
+            if s.history.mode() != lane.protection {
                 return Err(format!(
                     "line {i}: history protection {:?} does not match the configured {:?}",
                     s.history.mode(),
-                    self.protection
+                    lane.protection
                 ));
             }
         }
         // Build every fallible piece on the side first ...
         let memory = MainMemory::from_snapshot(ckpt.memory)?;
-        let mut fifo = self.fifo.clone();
+        let mut fifo = lane.fifo.clone();
         fifo.restore(FifoSnapshot {
             queue: ckpt.fifo_queue,
             stats: ckpt.fifo_stats,
@@ -1343,12 +1433,12 @@ impl CntCache {
         // restore, and only after it succeeds commit the rest.
         self.cache.restore(ckpt.cache)?;
         self.memory = memory;
-        self.fifo = fifo;
-        self.states = ckpt.states;
-        self.counters = ckpt.counters;
-        self.reliability = ckpt.reliability;
-        self.degraded_lines = ckpt.degraded_lines;
-        self.meter.restore_breakdown(ckpt.breakdown);
+        lane.fifo = fifo;
+        lane.states = ckpt.states;
+        lane.counters = ckpt.counters;
+        lane.reliability = ckpt.reliability;
+        lane.degraded_lines = ckpt.degraded_lines;
+        lane.meter.restore_breakdown(ckpt.breakdown);
         Ok(())
     }
 }
@@ -1419,34 +1509,8 @@ impl std::fmt::Display for AuditError {
 
 impl std::error::Error for AuditError {}
 
-/// The observer translating raw array events into energy charges on the
-/// *stored* bit view.
-struct MeterObserver<'a> {
-    meter: &'a mut EnergyMeter,
-    states: &'a mut [LineState],
-    codec: &'a LineCodec,
-    fifo: &'a mut UpdateFifo<PendingUpdate>,
-    ways: u32,
-    fill_preference: Option<BitPreference>,
-    /// Zero-flag compression: all-zero words skip the array, paying only
-    /// their (sidecar) flag access.
-    zero_flag: bool,
-    /// Direction-metadata protection active on this cache (fresh fills
-    /// compute and charge their check bits here).
-    protection: ProtectionMode,
-    /// Template history register for freshly-filled lines.
-    fresh_history: ProtectedHistory,
-    /// Sidecar-array energy scale for the zero flags.
-    metadata_scale: f64,
-}
-
-impl MeterObserver<'_> {
-    fn index(&self, loc: LineLocation) -> usize {
-        (loc.set * u64::from(self.ways) + u64::from(loc.way)) as usize
-    }
-}
-
-impl ArrayObserver for MeterObserver<'_> {
+/// The lane meters raw array events on its *stored* bit view.
+impl ArrayObserver for EncodingLane {
     fn word_read(&mut self, loc: LineLocation, word_index: usize, value: u64) {
         if self.zero_flag {
             // The flag is always read; a set flag short-circuits the word.
@@ -1454,7 +1518,7 @@ impl ArrayObserver for MeterObserver<'_> {
                 u32::from(value == 0),
                 1,
                 ChargeKind::MetadataRead,
-                self.metadata_scale,
+                self.sidecar_scale(),
             );
             if value != 0 {
                 self.meter
@@ -1462,7 +1526,7 @@ impl ArrayObserver for MeterObserver<'_> {
             }
             return;
         }
-        let dirs = &self.states[self.index(loc)].dirs;
+        let dirs = &self.states[self.line_index(loc)].dirs;
         let stored = self.codec.stored_word(value, dirs, word_index);
         self.meter
             .charge_read_word_kind(stored, 64, ChargeKind::DataRead);
@@ -1475,7 +1539,7 @@ impl ArrayObserver for MeterObserver<'_> {
                 u32::from(new == 0),
                 1,
                 ChargeKind::MetadataWrite,
-                self.metadata_scale,
+                self.sidecar_scale(),
             );
             if new != 0 {
                 self.meter
@@ -1483,14 +1547,14 @@ impl ArrayObserver for MeterObserver<'_> {
             }
             return;
         }
-        let dirs = &self.states[self.index(loc)].dirs;
+        let dirs = &self.states[self.line_index(loc)].dirs;
         let stored = self.codec.stored_word(new, dirs, word_index);
         self.meter
             .charge_write_word_kind(stored, 64, ChargeKind::DataWrite);
     }
 
     fn line_filled(&mut self, loc: LineLocation, _base: Address, data: &[u64]) {
-        let idx = self.index(loc);
+        let idx = self.line_index(loc);
         // Any queued update belongs to the evicted occupant of this slot.
         self.fifo.cancel_where(|u| u.location() == loc);
         if self.zero_flag {
@@ -1504,7 +1568,7 @@ impl ArrayObserver for MeterObserver<'_> {
                 nonzero,
                 data.len() as u32,
                 ChargeKind::MetadataWrite,
-                self.metadata_scale,
+                self.sidecar_scale(),
             );
             for &w in data.iter().filter(|&&w| w != 0) {
                 self.meter
@@ -1524,7 +1588,7 @@ impl ArrayObserver for MeterObserver<'_> {
                 dirs.check_ones(),
                 dirs.check_storage_bits(),
                 ChargeKind::ProtectionUpdate,
-                self.metadata_scale,
+                self.sidecar_scale(),
             );
         }
         let ones = self.codec.stored_popcount(data, dirs.bits());
@@ -1544,7 +1608,7 @@ impl ArrayObserver for MeterObserver<'_> {
                 data.iter().filter(|&&w| w == 0).count() as u32,
                 data.len() as u32,
                 ChargeKind::MetadataRead,
-                self.metadata_scale,
+                self.sidecar_scale(),
             );
             for &w in data.iter().filter(|&&w| w != 0) {
                 self.meter
@@ -1552,7 +1616,7 @@ impl ArrayObserver for MeterObserver<'_> {
             }
             return;
         }
-        let dirs = &self.states[self.index(loc)].dirs;
+        let dirs = &self.states[self.line_index(loc)].dirs;
         let ones = self.codec.stored_popcount(data, dirs);
         self.meter.charge_read_bits_kind(
             ones,
@@ -1717,7 +1781,7 @@ mod tests {
         // And no state was corrupted: all resident lines decode correctly.
         for (loc, line, dirs) in cache.valid_lines().collect::<Vec<_>>() {
             let stored = cache.stored_line(loc).expect("valid");
-            let decoded = cache.codec.decode(&stored, dirs);
+            let decoded = cache.lane.codec.decode(&stored, dirs);
             assert_eq!(decoded, line.as_words());
         }
     }

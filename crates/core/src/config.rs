@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use cnt_encoding::{EncodingError, ProtectionMode};
 use cnt_energy::SramEnergyModel;
 use cnt_sim::{
-    CacheGeometry, FillPattern, GeometryError, PrefetchPolicy, ReplacementKind, WriteMode,
+    Cache, CacheGeometry, FillPattern, GeometryError, PrefetchPolicy, ReplacementKind, WriteMode,
 };
 
 use crate::policy::{EncodingPolicy, MetadataFaultPolicy};
@@ -140,6 +140,27 @@ impl CntCacheConfig {
         }
         let json = serde_json::to_string(&shape).expect("a valid config always serializes");
         cnt_trace::fnv1a(json.as_bytes())
+    }
+
+    /// Whether `other` simulates the same cache over the same memory:
+    /// equal geometry, replacement, write mode, prefetcher, and
+    /// cold-fill pattern. Configurations that agree on these differ only
+    /// in what their encoding lanes do, so they can share one simulation
+    /// as lanes of a [`LaneGroup`](crate::LaneGroup).
+    pub fn shares_simulator(&self, other: &CntCacheConfig) -> bool {
+        self.geometry == other.geometry
+            && self.replacement == other.replacement
+            && self.write_mode == other.write_mode
+            && self.prefetch == other.prefetch
+            && self.fill_pattern == other.fill_pattern
+    }
+
+    /// A fresh simulated cache with this configuration's geometry,
+    /// replacement, write mode, and prefetcher.
+    pub(crate) fn simulator(&self) -> Cache {
+        Cache::new(self.name.clone(), self.geometry, self.replacement)
+            .with_write_mode(self.write_mode)
+            .with_prefetch(self.prefetch)
     }
 }
 

@@ -63,13 +63,15 @@
 
 mod cnt;
 mod config;
+mod group;
 mod hierarchy;
 mod policy;
 mod replay;
 mod report;
 
-pub use cnt::{AuditError, CntCache, PendingUpdate, ScrubReport};
+pub use cnt::{AuditError, CntCache, EncodingLane, PendingUpdate, ScrubReport};
 pub use config::{CntCacheConfig, CntCacheConfigBuilder, ConfigError};
+pub use group::LaneGroup;
 pub use hierarchy::{CntHierarchy, CntHierarchyConfig};
 pub use policy::{AdaptiveParams, EncodingPolicy, MetadataFaultPolicy};
 pub use replay::{EpochClock, EpochHook};

@@ -7,7 +7,9 @@
 //! allocations. Every demand read/write, line fill, window decision, and
 //! deferred re-encode therefore runs without touching the allocator —
 //! both through `run` over records and through the columnar `run_batch`
-//! that streamed replays and the benchmark drive.
+//! that streamed replays and the benchmark drive, and through a
+//! three-lane `LaneGroup` that fans one simulation out to several
+//! encoders.
 //!
 //! The wrapper forwards to `System` verbatim, so the accounting cannot
 //! change allocation behaviour — only observe it.
@@ -15,7 +17,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy};
+use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EpochClock, LaneGroup};
+use cnt_encoding::ProtectionMode;
 use cnt_sim::trace::{AccessBatch, MemoryAccess, Trace};
 use cnt_sim::Address;
 
@@ -65,46 +68,65 @@ fn hot_trace() -> Trace {
     trace
 }
 
-/// Warms a fresh cache up with one `replay`, then asserts a second one
-/// allocates nothing.
-fn assert_steady_state_allocates_nothing(
-    what: &str,
-    accesses: usize,
-    mut replay: impl FnMut(&mut CntCache),
-) {
-    let config = CntCacheConfig::builder()
+fn config(policy: EncodingPolicy, protection: ProtectionMode) -> CntCacheConfig {
+    CntCacheConfig::builder()
         .name("L1D")
         .size_bytes(8 * 1024)
         .line_bytes(64)
         .associativity(4)
-        .policy(EncodingPolicy::adaptive_default())
+        .policy(policy)
+        .protection(protection)
         .build()
-        .expect("valid geometry");
-    let mut cache = CntCache::new(config).expect("valid config");
+        .expect("valid geometry")
+}
+
+/// Warms `sim` up with one `replay`, then asserts a second one allocates
+/// nothing.
+fn assert_steady_state_allocates_nothing<S>(
+    what: &str,
+    mut sim: S,
+    mut replay: impl FnMut(&mut S),
+) {
     // Warm-up replay: allocates backing-memory chunks, grows the FIFO to
     // its working capacity, and installs every line once.
-    replay(&mut cache);
+    replay(&mut sim);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    replay(&mut cache);
+    replay(&mut sim);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state {what} of {accesses} accesses must not allocate"
-    );
+    assert_eq!(after - before, 0, "steady-state {what} must not allocate");
 }
 
 // One test, so no other test's allocations land inside a measured window.
 #[test]
 fn steady_state_replay_allocates_nothing() {
     let trace = hot_trace();
-    assert_steady_state_allocates_nothing("run", trace.len(), |cache| {
+    let adaptive = || {
+        CntCache::new(config(
+            EncodingPolicy::adaptive_default(),
+            ProtectionMode::None,
+        ))
+        .expect("valid config")
+    };
+    assert_steady_state_allocates_nothing("run", adaptive(), |cache| {
         cache.run(trace.iter()).expect("well-formed trace");
     });
     let batch = AccessBatch::from_trace(&trace);
-    assert_steady_state_allocates_nothing("run_batch", batch.len(), |cache| {
+    assert_steady_state_allocates_nothing("run_batch", adaptive(), |cache| {
         cache.run_batch(&batch).expect("well-formed batch");
+    });
+    // Three lanes over one simulation: the fan-out allocates nothing
+    // either.
+    let group = LaneGroup::new(vec![
+        config(EncodingPolicy::None, ProtectionMode::None),
+        config(EncodingPolicy::ZeroFlag, ProtectionMode::None),
+        config(EncodingPolicy::adaptive_default(), ProtectionMode::Secded),
+    ])
+    .expect("valid configs");
+    assert_steady_state_allocates_nothing("3-lane group run", group, |group| {
+        group
+            .run_observed(trace.iter(), &mut EpochClock::default(), None)
+            .expect("well-formed trace");
     });
 }

@@ -354,12 +354,6 @@ impl LineCodec {
         counts.into_iter().take(n)
     }
 
-    /// Metadata overhead of this codec per line: one direction bit per
-    /// partition.
-    pub fn direction_bits_per_line(&self) -> u32 {
-        self.layout.partitions
-    }
-
     fn check_len(&self, words: &[u64]) {
         assert_eq!(
             words.len(),

@@ -417,14 +417,6 @@ impl EnergyMeter {
             .record(kind, u64::from(ones), u64::from(width), energy);
     }
 
-    /// Charges a read of a multi-word buffer (e.g. a whole cache line),
-    /// attributed to `kind`. Every word is priced at full 64-bit width.
-    pub fn charge_read_line_kind(&mut self, words: &[u64], kind: ChargeKind) {
-        for &w in words {
-            self.charge_read_word_kind(w, 64, kind);
-        }
-    }
-
     /// Charges a write of a multi-word buffer (e.g. a whole cache line),
     /// attributed to `kind`. Every word is priced at full 64-bit width.
     pub fn charge_write_line_kind(&mut self, words: &[u64], kind: ChargeKind) {

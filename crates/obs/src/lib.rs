@@ -46,6 +46,7 @@ pub use sink::{
     drain, epoch_len, install, is_enabled, pending, preload, record, registry, to_jsonl,
 };
 pub use snapshot::{
-    replay, replay_hierarchy, validate_jsonl, validate_sessions_jsonl, Capture, DeltaTracker,
-    Emitter, FifoSnapshot, IngestSnapshot, JsonlSummary, LevelSnapshot, SessionsSummary, Snapshot,
+    lane_emitters, replay, replay_hierarchy, replay_lanes, validate_jsonl, validate_sessions_jsonl,
+    Capture, DeltaTracker, Emitter, FifoSnapshot, IngestSnapshot, JsonlSummary, LevelSnapshot,
+    SessionsSummary, Snapshot,
 };

@@ -12,7 +12,8 @@ use std::borrow::Borrow;
 use serde::{Deserialize, Serialize};
 
 use cnt_cache::{
-    CntCache, CntHierarchy, EncodingCounters, EpochClock, EpochHook, ReliabilityCounters,
+    CntCache, CntHierarchy, EncodingCounters, EncodingLane, EpochClock, EpochHook, LaneGroup,
+    ReliabilityCounters,
 };
 use cnt_encoding::FifoStats;
 use cnt_energy::EnergyBreakdown;
@@ -86,19 +87,26 @@ pub struct LevelSnapshot {
 impl LevelSnapshot {
     /// Captures one cache level.
     pub fn capture(cache: &CntCache) -> Self {
+        LevelSnapshot::of_lane(cache.stats(), cache.lane())
+    }
+
+    /// Captures one encoding lane over its simulated cache's `stats`:
+    /// the lane's report plus its FIFO occupancy.
+    pub fn of_lane(stats: &CacheStats, lane: &EncodingLane) -> Self {
+        let report = lane.report(stats.clone());
         LevelSnapshot {
-            level: cache.name().to_string(),
-            stats: cache.stats().clone(),
-            energy: cache.meter().breakdown().clone(),
+            level: report.name,
+            stats: report.stats,
+            energy: report.breakdown.clone(),
             // Delta-from-zero until a DeltaTracker refines it.
-            energy_delta: cache.meter().breakdown().clone(),
-            encoding: *cache.encoding_counters(),
+            energy_delta: report.breakdown,
+            encoding: report.encoding,
             fifo: FifoSnapshot {
-                len: cache.fifo_len() as u64,
-                capacity: cache.fifo_capacity() as u64,
-                stats: *cache.fifo_stats(),
+                len: lane.fifo_len() as u64,
+                capacity: lane.fifo_capacity() as u64,
+                stats: report.fifo,
             },
-            reliability: *cache.reliability_counters(),
+            reliability: report.reliability,
         }
     }
 }
@@ -130,6 +138,15 @@ pub trait Capture {
 impl Capture for CntCache {
     fn levels(&self) -> Vec<LevelSnapshot> {
         vec![LevelSnapshot::capture(self)]
+    }
+}
+
+/// One lane of a [`LaneGroup`], captured as a single-level replay.
+struct Lane<'a>(&'a CacheStats, &'a EncodingLane);
+
+impl Capture for Lane<'_> {
+    fn levels(&self) -> Vec<LevelSnapshot> {
+        vec![LevelSnapshot::of_lane(self.0, self.1)]
     }
 }
 
@@ -309,6 +326,52 @@ where
     observe(cache, "obs.replays_observed", |cache, clock, hook| {
         cache.run_observed(trace, clock, hook)
     })
+}
+
+/// Starts one [`Emitter`] per lane of a `lanes`-lane [`LaneGroup`] when
+/// a sink is installed, and none otherwise. Lane `k` gets the replay id
+/// (and the `obs.replays_observed` count) the `k`-th of `lanes`
+/// back-to-back [`replay`]s in this scope would, so a group's lanes name
+/// their streams exactly as solo replays of their configurations do.
+pub fn lane_emitters(lanes: usize) -> Vec<Emitter> {
+    if sink::epoch_len().is_none() {
+        return Vec::new();
+    }
+    (0..lanes)
+        .map(|_| Emitter::start("obs.replays_observed"))
+        .collect()
+}
+
+/// [`replay`] through every lane of `group` at once: `emitters[k]`
+/// records lane `k`'s snapshots, which equal those a solo [`replay`] of
+/// that lane's configuration emits. With no emitters (no sink installed)
+/// the group replays with no hook.
+///
+/// # Errors
+///
+/// Propagates [`AccessError`] from the underlying replay.
+pub fn replay_lanes<I>(
+    group: &mut LaneGroup,
+    trace: I,
+    emitters: &mut [Emitter],
+) -> Result<usize, AccessError>
+where
+    I: IntoIterator,
+    I::Item: Borrow<MemoryAccess>,
+{
+    let every = match sink::epoch_len() {
+        Some(every) if !emitters.is_empty() => every,
+        _ => return group.run_observed(trace, &mut EpochClock::default(), None),
+    };
+    let mut clock = EpochClock::new(every);
+    let mut hook = |group: &LaneGroup, epoch, accesses| {
+        for (emitter, lane) in emitters.iter_mut().zip(group.lanes()) {
+            emitter.emit(&Lane(group.stats(), lane), epoch, accesses, None);
+        }
+    };
+    let replayed = group.run_observed(trace, &mut clock, Some(&mut hook))?;
+    clock.close(group, &mut hook);
+    Ok(replayed)
 }
 
 /// [`replay`] through a full hierarchy, one multi-level snapshot per

@@ -93,12 +93,6 @@ impl Client {
         self.features
     }
 
-    /// `true` when the server will stream per-epoch obs frames.
-    #[must_use]
-    pub fn obs_streaming(&self) -> bool {
-        self.features & FEATURE_OBS_STREAM != 0
-    }
-
     /// Sets the socket read timeout (e.g. while waiting in the
     /// admission queue). `None` blocks indefinitely.
     ///

@@ -266,11 +266,6 @@ impl Cache {
         &self.stats
     }
 
-    /// Resets the statistics to zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Consumes the cache, returning its accumulated statistics without
     /// copying them (for end-of-run report assembly).
     pub fn into_stats(self) -> CacheStats {

@@ -352,11 +352,6 @@ impl CheckpointFile {
         component.restore_state(payload)
     }
 
-    /// Section names in file order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Renders the complete `.ctrs` byte stream.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();

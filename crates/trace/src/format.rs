@@ -49,15 +49,6 @@ pub const HEADER_BYTES: usize = 16;
 /// Size of each chunk frame (before its payload) in bytes.
 pub const FRAME_BYTES: usize = 12;
 
-/// Packed size of one access record in bytes.
-pub fn record_bytes(access: &MemoryAccess) -> usize {
-    if access.is_write() {
-        18
-    } else {
-        10
-    }
-}
-
 const KIND_READ: u8 = 0;
 const KIND_WRITE: u8 = 1;
 const KIND_IFETCH: u8 = 2;
