@@ -385,11 +385,11 @@ fn main() -> ExitCode {
     }
 
     cnt_bench::pool::set_jobs(jobs.unwrap_or_else(cnt_bench::pool::default_jobs));
-    if metrics_out.is_some() {
-        let every = metrics_every.unwrap_or(DEFAULT_METRICS_EVERY);
-        cnt_obs::install(every);
-        eprintln!("metrics: snapshot every {every} accesses");
-    }
+    let metrics = cli::install_metrics(
+        metrics_out
+            .as_ref()
+            .map(|_| metrics_every.unwrap_or(DEFAULT_METRICS_EVERY)),
+    );
 
     for (id, report) in ids.iter().zip(cnt_bench::experiments::run_many(&ids)) {
         match report {
@@ -433,30 +433,12 @@ fn main() -> ExitCode {
         println!();
     }
 
-    if let Some(path) = metrics_out {
-        let snapshots = cnt_obs::drain();
-        let jsonl = match cnt_obs::to_jsonl(&snapshots) {
-            Ok(jsonl) => jsonl,
-            Err(e) => {
-                eprintln!("error: cannot serialize metrics: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(&path, jsonl) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("metrics: wrote {} snapshots to {path}", snapshots.len());
+    match cli::finish_metrics(
+        metrics,
+        metrics_out.as_deref(),
+        metrics_final.then_some("==== final metrics ===="),
+    ) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => e.exit(),
     }
-    // Sorted by name so the export is byte-identical whatever order the
-    // worker pool first touched each metric in.
-    if metrics_final {
-        let mut export = cnt_obs::registry().export();
-        export.sort_by(|a, b| a.0.cmp(&b.0));
-        println!("==== final metrics ====");
-        for (name, value) in export {
-            println!("{name} {value}");
-        }
-    }
-    ExitCode::SUCCESS
 }

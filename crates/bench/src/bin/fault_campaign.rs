@@ -104,11 +104,11 @@ fn main() -> ExitCode {
     }
 
     cnt_bench::pool::set_jobs(jobs.unwrap_or_else(cnt_bench::pool::default_jobs));
-    if metrics_out.is_some() {
-        let every = metrics_every.unwrap_or(DEFAULT_METRICS_EVERY);
-        cnt_obs::install(every);
-        eprintln!("metrics: snapshot every {every} accesses");
-    }
+    let metrics = cli::install_metrics(
+        metrics_out
+            .as_ref()
+            .map(|_| metrics_every.unwrap_or(DEFAULT_METRICS_EVERY)),
+    );
 
     let w = kernels::matmul(dim, 1);
     let grid = campaign::default_grid(&faults, seed);
@@ -123,28 +123,12 @@ fn main() -> ExitCode {
     );
     print!("{}", campaign::render(&outcomes));
 
-    if let Some(path) = metrics_out {
-        let snapshots = cnt_obs::drain();
-        let jsonl = match cnt_obs::to_jsonl(&snapshots) {
-            Ok(jsonl) => jsonl,
-            Err(e) => {
-                eprintln!("error: cannot serialize metrics: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(&path, jsonl) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("metrics: wrote {} snapshots to {path}", snapshots.len());
+    match cli::finish_metrics(
+        metrics,
+        metrics_out.as_deref(),
+        metrics_final.then_some("\n==== final metrics ===="),
+    ) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => e.exit(),
     }
-    if metrics_final {
-        let mut export = cnt_obs::registry().export();
-        export.sort_by(|a, b| a.0.cmp(&b.0));
-        println!("\n==== final metrics ====");
-        for (name, value) in export {
-            println!("{name} {value}");
-        }
-    }
-    ExitCode::SUCCESS
 }

@@ -28,7 +28,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use cnt_bench::ckpt;
-use cnt_bench::cli::{flag_value, fraction_flag, int_flag, one_positional, CmdError};
+use cnt_bench::cli::{self, flag_value, fraction_flag, int_flag, one_positional, CmdError};
 use cnt_bench::driver::{
     restore_resume_obs, run_two_pass, CheckpointPlan, CheckpointStore, ResumeState, SessionPlan,
     SingleFileStore,
@@ -468,10 +468,7 @@ fn cmd_stream_replay(args: &[String]) -> Result<(), CmdError> {
     };
 
     pool::set_jobs(jobs.unwrap_or_else(pool::default_jobs));
-    if let Some(every) = metrics_every_effective {
-        cnt_obs::install(every);
-        eprintln!("metrics: snapshot every {every} accesses");
-    }
+    let metrics = cli::install_metrics(metrics_every_effective);
     if let Some((_, driver, obs)) = &resumed {
         restore_resume_obs(driver, obs.clone());
         eprintln!(
@@ -554,14 +551,7 @@ fn cmd_stream_replay(args: &[String]) -> Result<(), CmdError> {
     println!();
     print_comparison(&base.report, &cnt.report);
 
-    if let Some(path) = metrics_out {
-        let snapshots = cnt_obs::drain();
-        let jsonl = cnt_obs::to_jsonl(&snapshots)
-            .map_err(|e| Runtime(format!("cannot serialize metrics: {e}")))?;
-        std::fs::write(&path, jsonl).map_err(|e| Runtime(format!("cannot write {path}: {e}")))?;
-        eprintln!("metrics: wrote {} snapshots to {path}", snapshots.len());
-    }
-    Ok(())
+    cli::finish_metrics(metrics, metrics_out.as_deref(), None)
 }
 
 // --------------------------------------------------------------- helpers

@@ -16,6 +16,8 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use cnt_cache::prelude::*;
+use cnt_cache::EpochClock;
+use cnt_obs::Emitter;
 use cnt_sim::trace::Trace;
 use cnt_sim::MainMemory;
 use rand::rngs::SmallRng;
@@ -112,9 +114,14 @@ pub fn run_cell(trace: &Trace, spec: &CampaignSpec) -> CampaignOutcome {
     let line_bytes = u64::from(config.geometry.line_bytes());
     let mut cache = CntCache::new(config).expect("valid cache");
 
-    let epoch_len = cnt_obs::epoch_len();
-    let replay_id = epoch_len.map(|_| cnt_obs::next_replay_path());
-    let mut epoch = 0u64;
+    // Observed like any replay: one emitter on the epoch grid, with a
+    // trailing partial epoch at the end.
+    let mut observer = cnt_obs::epoch_len().map(|every| {
+        (
+            EpochClock::new(every),
+            Emitter::start("obs.replays_observed"),
+        )
+    });
 
     let mut rng = SmallRng::seed_from_u64(spec.seed);
     let interval = (trace.len() / (spec.faults + 1)).max(1);
@@ -141,13 +148,16 @@ pub fn run_cell(trace: &Trace, spec: &CampaignSpec) -> CampaignOutcome {
                 cache.scrub_metadata();
             }
         }
-        if let (Some(every), Some(id)) = (epoch_len, replay_id.as_deref()) {
-            let accesses = i as u64 + 1;
-            if accesses.is_multiple_of(every) {
-                cnt_obs::record(cnt_obs::Snapshot::capture(&cache, id, epoch, accesses));
-                epoch += 1;
-            }
+        if let Some((clock, emitter)) = observer.as_mut() {
+            clock.tick(&cache, &mut |cache, epoch, accesses| {
+                emitter.emit(cache, epoch, accesses, None);
+            });
         }
+    }
+    if let Some((clock, emitter)) = observer.as_mut() {
+        clock.close(&cache, &mut |cache, epoch, accesses| {
+            emitter.emit(cache, epoch, accesses, None);
+        });
     }
     cache.flush();
 
@@ -172,19 +182,10 @@ pub fn run_cell(trace: &Trace, spec: &CampaignSpec) -> CampaignOutcome {
     }
 
     let r = *cache.reliability_counters();
-    let registry = cnt_obs::registry();
-    registry
-        .counter("reliability.faults_injected")
-        .add(r.faults_injected);
-    registry
-        .counter("reliability.faults_corrected")
-        .add(r.faults_corrected);
-    registry
-        .counter("reliability.lines_invalidated")
-        .add(r.lines_invalidated);
-    registry
-        .counter("reliability.scrub_passes")
-        .add(r.scrub_passes);
+    cnt_obs::count("reliability.faults_injected", r.faults_injected);
+    cnt_obs::count("reliability.faults_corrected", r.faults_corrected);
+    cnt_obs::count("reliability.lines_invalidated", r.lines_invalidated);
+    cnt_obs::count("reliability.scrub_passes", r.scrub_passes);
 
     let breakdown = cache.meter().breakdown();
     CampaignOutcome {

@@ -8,9 +8,9 @@
 //!   metadata with protection check bits, predictor state, the deferred
 //!   update FIFO, replacement state, statistics, and the energy
 //!   accumulators);
-//! * `obs` — the process-wide metrics registry plus every snapshot
-//!   already recorded to the sink, so a resumed metrics stream continues
-//!   instead of resetting;
+//! * `obs` — the installed sink's metrics registry plus every snapshot
+//!   it already recorded, so a resumed metrics stream and its counters
+//!   continue instead of resetting;
 //! * `driver` — which pass was running, the completed baseline outcome
 //!   (if any), and the mid-pass [`ReplayCursor`].
 //!
@@ -46,42 +46,31 @@ pub struct ObsState {
     pub snapshots: Vec<Snapshot>,
 }
 
-/// Captures the observability state the calling thread's replay is
-/// feeding. With a thread-local session sink installed (a `cnt-serve`
-/// session thread), this is that session's snapshots alone and **no**
-/// registry export — the registry is process-wide and shared across
-/// sessions, so freezing it into one tenant's checkpoint would leak the
-/// other tenants' counters. Otherwise it is the process-wide registry
-/// plus the global sink buffer, as the offline driver has always saved.
+/// Captures the observability state of the sink the calling thread
+/// records into: its registry export and a sorted copy of its
+/// snapshots. Each sink owns its registry, so a `cnt-serve` session's
+/// checkpoint holds that session's counters and no other tenant's.
+/// Empty when no sink is installed.
 #[must_use]
 pub fn capture_obs() -> ObsState {
-    if cnt_obs::local_installed() {
-        return ObsState {
-            metrics: Vec::new(),
-            snapshots: cnt_obs::local_pending(),
-        };
-    }
-    ObsState {
-        metrics: cnt_obs::registry().export(),
-        snapshots: cnt_obs::pending(),
-    }
+    cnt_obs::installed()
+        .map(|sink| ObsState {
+            metrics: sink.registry().export(),
+            snapshots: sink.snapshots(),
+        })
+        .unwrap_or_default()
 }
 
-/// Restores checkpointed observability state into whichever sink the
-/// calling thread is using, so resumed counters continue from their
-/// checkpointed values and the final JSONL stream contains the pre-kill
-/// epochs. With a thread-local session sink installed the snapshots are
-/// preloaded there (and the registry is left alone — see
-/// [`capture_obs`]); otherwise this restores the process-wide registry
-/// and re-seeds the global sink. Call after `cnt_obs::install` (or
-/// `cnt_obs::install_local`) and before restarting any replay.
+/// Restores checkpointed observability state into the calling thread's
+/// sink, so resumed counters continue from their checkpointed values and
+/// the final JSONL stream contains the pre-kill epochs. Call after
+/// `cnt_obs::install_local` and before restarting any replay; with no
+/// sink installed the state is dropped, like any count.
 pub fn restore_obs(state: ObsState) {
-    if cnt_obs::local_installed() {
-        cnt_obs::preload_local(state.snapshots);
-        return;
+    if let Some(sink) = cnt_obs::installed() {
+        sink.registry().restore(&state.metrics);
+        sink.extend(state.snapshots);
     }
-    cnt_obs::registry().restore(&state.metrics);
-    cnt_obs::preload(state.snapshots);
 }
 
 /// The stream-replay driver's own state across its two passes.

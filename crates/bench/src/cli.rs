@@ -96,6 +96,50 @@ pub fn one_positional<'a>(args: &'a [String], what: &str) -> Result<&'a str, Cmd
     }
 }
 
+/// Installs a run's metrics sink on the calling thread: one snapshot
+/// every `every` accesses (announced on stderr), or counters only when
+/// `every` is `None`.
+pub fn install_metrics(every: Option<u64>) -> cnt_obs::SinkGuard {
+    if let Some(every) = every {
+        eprintln!("metrics: snapshot every {every} accesses");
+    }
+    cnt_obs::install_local(every.unwrap_or(0), None)
+}
+
+/// Finishes a run's metrics sink: writes its snapshots as JSON Lines to
+/// `out` (counting them on stderr) and, given a `final_header`, prints
+/// that header and then every registry metric, sorted by name so the
+/// export is byte-identical whatever order the worker pool first
+/// touched each metric in.
+///
+/// # Errors
+///
+/// A [`CmdError::Runtime`] when the snapshots cannot be serialized or
+/// written.
+pub fn finish_metrics(
+    guard: cnt_obs::SinkGuard,
+    out: Option<&str>,
+    final_header: Option<&str>,
+) -> Result<(), CmdError> {
+    let mut export = guard.registry().export();
+    let snapshots = guard.finish();
+    if let Some(path) = out {
+        let jsonl = cnt_obs::to_jsonl(&snapshots)
+            .map_err(|e| CmdError::Runtime(format!("cannot serialize metrics: {e}")))?;
+        std::fs::write(path, jsonl)
+            .map_err(|e| CmdError::Runtime(format!("cannot write {path}: {e}")))?;
+        eprintln!("metrics: wrote {} snapshots to {path}", snapshots.len());
+    }
+    if let Some(header) = final_header {
+        export.sort_by(|a, b| a.0.cmp(&b.0));
+        println!("{header}");
+        for (name, value) in export {
+            println!("{name} {value}");
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,8 +13,8 @@
 //!
 //! The driver deliberately does **not** install metrics sinks or burn
 //! replay ids: the caller owns observability setup (the offline CLI
-//! uses the process-wide sink, the server a thread-local session sink —
-//! see `cnt_obs::local`) and applies [`restore_resume_obs`] before a
+//! installs one sink for the run, the server one per session thread —
+//! see `cnt_obs::sink`) and applies [`restore_resume_obs`] before a
 //! resumed run. Everything after that point is common code.
 
 use std::io::BufReader;
@@ -160,11 +160,10 @@ pub fn stream_config_pair() -> (CntCacheConfig, CntCacheConfig) {
 }
 
 /// Applies a loaded checkpoint's observability state before a resumed
-/// run: restores/preloads the pre-kill snapshots into whichever sink is
-/// installed (process-wide or thread-local — see [`ckpt::restore_obs`])
-/// and burns the replay ids the interrupted process already allocated,
-/// so later fresh passes get the same deterministic names as in an
-/// uninterrupted run.
+/// run: restores the pre-kill counters and snapshots into the installed
+/// sink (see [`ckpt::restore_obs`]) and burns the replay ids the
+/// interrupted process already allocated, so later fresh passes get the
+/// same deterministic names as in an uninterrupted run.
 pub fn restore_resume_obs(driver: &DriverState, obs: ObsState) {
     ckpt::restore_obs(obs);
     for _ in 0..driver.replay_ids_allocated {

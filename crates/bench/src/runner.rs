@@ -58,11 +58,8 @@ pub fn run_configs(configs: &[CntCacheConfig], trace: &Trace) -> Vec<EnergyRepor
         let simulated = cnt_obs::replay_lanes(&mut group, trace, &mut lane_emitters)
             .expect("experiment traces are well-formed") as u64;
         group.flush();
-        let registry = cnt_obs::registry();
-        registry.counter("sim.accesses_simulated").add(simulated);
-        registry
-            .counter("sim.lane_accesses")
-            .add(simulated * lanes.len() as u64);
+        cnt_obs::count("sim.accesses_simulated", simulated);
+        cnt_obs::count("sim.lane_accesses", simulated * lanes.len() as u64);
         for (i, report) in lanes.into_iter().zip(group.into_reports()) {
             reports[i] = Some(report);
         }

@@ -428,22 +428,13 @@ pub fn replay_stream_resumable<R: Read>(
         });
     }
 
-    // Mirror the totals into the process-wide registry so `--metrics-final`
-    // exports see ingest activity without a snapshot sink.
-    let registry = cnt_obs::registry();
-    registry
-        .counter("trace.chunks_read")
-        .add(final_ingest.chunks_read);
-    registry
-        .counter("trace.chunks_skipped")
-        .add(final_ingest.chunks_skipped);
-    registry
-        .counter("trace.crc_failures")
-        .add(final_ingest.crc_failures);
-    registry
-        .counter("trace.bytes_decoded")
-        .add(final_ingest.bytes_decoded);
-    registry.counter("trace.replays").inc();
+    // Mirror the totals into the sink's registry so `--metrics-final`
+    // exports see ingest activity without snapshots.
+    cnt_obs::count("trace.chunks_read", final_ingest.chunks_read);
+    cnt_obs::count("trace.chunks_skipped", final_ingest.chunks_skipped);
+    cnt_obs::count("trace.crc_failures", final_ingest.crc_failures);
+    cnt_obs::count("trace.bytes_decoded", final_ingest.bytes_decoded);
+    cnt_obs::count("trace.replays", 1);
 
     Ok((final_ingest, clock.accesses))
 }

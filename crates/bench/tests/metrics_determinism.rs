@@ -1,12 +1,11 @@
 //! The metrics stream must be deterministic across `--jobs` settings:
 //! the same replays produce the same snapshot stream whether they ran
 //! sequentially or interleaved on the worker pool, because replay ids
-//! come from program structure and the sink sorts by (id, epoch) before
-//! rendering.
+//! come from program structure, pool workers record into the caller's
+//! sink, and the sink sorts by (id, epoch) before rendering.
 //!
-//! The global sink and the global pool budget are process-wide, so the
-//! whole comparison lives in ONE `#[test]` — libtest must not interleave
-//! two sink lifecycles.
+//! The pool's job count is process-wide, so the whole comparison lives
+//! in ONE `#[test]`.
 
 use cnt_bench::pool;
 use cnt_bench::runner::run_dcache_matrix;
@@ -19,16 +18,16 @@ fn small_matrix() -> Vec<Workload> {
     cnt_workloads::suite_small()
 }
 
-/// Runs the (workload x policy) matrix under a sink and returns the
-/// rendered JSONL.
+/// Runs the (workload x policy) matrix under a sink installed on this
+/// thread and returns the rendered JSONL.
 fn matrix_jsonl(jobs: usize, every: u64) -> String {
     pool::set_jobs(jobs);
-    cnt_obs::install(every);
+    let sink = cnt_obs::install_local(every, None);
     let policies = [EncodingPolicy::None, EncodingPolicy::adaptive_default()];
     let _scope = cnt_obs::scoped("matrix");
     let matrix = run_dcache_matrix(&small_matrix(), &policies);
     assert!(!matrix.is_empty());
-    let snapshots = cnt_obs::drain();
+    let snapshots = sink.finish();
     assert!(
         !snapshots.is_empty(),
         "tracing was enabled, expected snapshots"
@@ -40,8 +39,10 @@ fn matrix_jsonl(jobs: usize, every: u64) -> String {
 fn metrics_stream_is_byte_identical_across_jobs() {
     const EVERY: u64 = 2_000;
 
+    // A worker that does not adopt the caller's sink drops its replays'
+    // snapshots, so the parallel stream comes out shorter.
     let sequential = matrix_jsonl(1, EVERY);
-    let parallel = matrix_jsonl(pool::default_jobs().max(2), EVERY);
+    let parallel = matrix_jsonl(2, EVERY);
     assert_eq!(
         sequential, parallel,
         "snapshot stream must not depend on the worker count"
@@ -67,7 +68,7 @@ fn metrics_stream_is_byte_identical_across_jobs() {
         first.experiment
     );
 
-    // With the sink drained, tracing is off again and nothing leaks into
+    // With the sink finished, tracing is off again and nothing leaks into
     // a later install.
     assert!(!cnt_obs::is_enabled());
 }

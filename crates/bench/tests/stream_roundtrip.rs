@@ -223,6 +223,35 @@ proptest! {
     }
 }
 
+/// Each observed streamed replay counts once, in the registry of the
+/// sink it recorded into.
+#[test]
+fn observed_streamed_replays_are_counted_once_each() {
+    let trace: Trace = (0..2_500u64)
+        .map(|i| MemoryAccess::read(Address::new((i % 700) * 8), 8))
+        .collect();
+    let bytes = pack(&trace, 256);
+    let opts = ReadOptions::default();
+    let count = |guard: &cnt_obs::SinkGuard, name: &str| guard.registry().counter(name).get();
+
+    // Counters only: the replay is counted but not observed.
+    let guard = install_local(0, None);
+    stream_replay(&bytes, EncodingPolicy::adaptive_default(), opts).expect("streams");
+    assert_eq!(count(&guard, "obs.replays_observed"), 0);
+    assert_eq!(count(&guard, "trace.replays"), 1);
+    assert!(guard.finish().is_empty());
+
+    let guard = install_local(1_000, None);
+    stream_replay(&bytes, EncodingPolicy::adaptive_default(), opts).expect("streams");
+    stream_replay(&bytes, EncodingPolicy::adaptive_default(), opts).expect("streams");
+    assert_eq!(
+        count(&guard, "obs.replays_observed"),
+        2,
+        "one count per observed streamed replay"
+    );
+    assert_eq!(guard.finish().len(), 6, "three epochs per replay");
+}
+
 /// The ISSUE acceptance bar: a ≥ 64 MiB trace streamed under an 8 MiB
 /// reader budget must reproduce the in-memory report exactly, with
 /// buffering bounded by the budget. Run with `--ignored --release`

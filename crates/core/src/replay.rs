@@ -44,6 +44,18 @@ impl EpochClock {
         }
     }
 
+    /// Counts one access and, if it closes an epoch, calls
+    /// `hook(sim, epoch, accesses)` — for replay loops that interleave
+    /// their own work between accesses.
+    #[inline]
+    pub fn tick<S: ?Sized>(&mut self, sim: &S, hook: EpochHook<'_, S>) {
+        self.accesses += 1;
+        if self.accesses.is_multiple_of(self.every) {
+            hook(sim, self.epoch, self.accesses);
+            self.epoch += 1;
+        }
+    }
+
     /// Ends a replay: calls `hook(sim, epoch, accesses)` once more for a
     /// trailing partial epoch — or for the sole epoch of an empty replay
     /// — so the last accesses are never silently dropped and every
@@ -80,12 +92,9 @@ where
     let start = clock.accesses;
     for access in source {
         step(sim, access)?;
-        clock.accesses += 1;
-        if let Some(hook) = hook.as_deref_mut() {
-            if clock.accesses.is_multiple_of(clock.every) {
-                hook(sim, clock.epoch, clock.accesses);
-                clock.epoch += 1;
-            }
+        match hook.as_deref_mut() {
+            Some(hook) => clock.tick(sim, hook),
+            None => clock.accesses += 1,
         }
     }
     Ok((clock.accesses - start) as usize)

@@ -237,12 +237,9 @@ pub fn import_bytes(
         return Err(ImportError::Empty);
     }
 
-    let counters = cnt_obs::registry();
-    counters.counter("import.records").add(parsed.records_in);
-    counters
-        .counter("import.accesses")
-        .add(parsed.accesses.len() as u64);
-    counters.counter("import.dropped").add(parsed.dropped);
+    cnt_obs::count("import.records", parsed.records_in);
+    cnt_obs::count("import.accesses", parsed.accesses.len() as u64);
+    cnt_obs::count("import.dropped", parsed.dropped);
 
     let mut ctr = Vec::new();
     let mut writer = TraceWriter::with_options(

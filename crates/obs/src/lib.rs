@@ -2,48 +2,44 @@
 //!
 //! This crate adds a thin observability layer over the simulator:
 //!
-//! - [`Registry`] / [`Counter`] / [`Gauge`] — a lock-free-on-the-hot-path
-//!   metrics registry ([`registry`] returns the process-wide instance);
+//! - [`sink`] — one scoped [`Sink`] per run, installed on the driver's
+//!   thread by [`install_local`] and carried to pool workers with the
+//!   scope path. It owns the run's [`Registry`] of counters and gauges,
+//!   buffers epoch snapshots, and can stream each one as it is recorded,
+//!   so concurrent sessions of a replay server stay isolated;
 //! - [`scope`] — deterministic replay identities (`fig9/i0003/r0000`)
 //!   that are pure functions of program structure, so names match under
 //!   sequential and parallel execution;
 //! - [`Snapshot`] — epoch captures of per-level [`cnt_sim::CacheStats`],
 //!   [`cnt_energy::EnergyBreakdown`], predictor/encoding counters, and
-//!   deferred-update FIFO occupancy;
-//! - [`sink`] — a global collector that orders interleaved snapshots by
-//!   (experiment id, epoch) before they are rendered to JSON Lines;
-//! - [`local`] — thread-local session sinks, so a multi-tenant replay
-//!   server can keep per-session metrics streams isolated (and stream
-//!   them live) while sharing one process.
+//!   deferred-update FIFO occupancy, sorted by (experiment id, epoch)
+//!   before they are rendered to JSON Lines.
 //!
 //! ## Cost model
 //!
-//! Tracing is opt-in per process. With no sink installed, [`replay`]
-//! adds a single relaxed atomic load and then delegates to the exact
-//! same loop an uninstrumented replay uses; the allocation-free hot
-//! path guarantee is enforced by a counting-allocator test in this
-//! crate and in `cnt-cache`. With a sink installed, snapshot capture
-//! clones fixed-size accumulators once per epoch (never per access).
+//! Tracing is opt-in per thread. With no sink installed, [`replay`] pays
+//! one thread-local read and then delegates to the exact same loop an
+//! uninstrumented replay uses; the allocation-free hot path guarantee is
+//! enforced by a counting-allocator test in this crate and in
+//! `cnt-cache`. With a sink installed, snapshot capture clones
+//! fixed-size accumulators once per epoch (never per access) and takes
+//! one lock to buffer the snapshot.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod local;
 pub mod registry;
 pub mod scope;
 pub mod sink;
 pub mod snapshot;
 
-pub use local::{
-    install_local, local_installed, local_pending, preload_local, LocalSinkGuard, OnRecord,
-};
 pub use registry::{Counter, Gauge, MetricValue, Registry};
 pub use scope::{
     adopt, fork, next_replay_path, scoped, scoped_fanout, scoped_index, AdoptGuard, ScopeGuard,
     ScopeStack,
 };
 pub use sink::{
-    drain, epoch_len, install, is_enabled, pending, preload, record, registry, to_jsonl,
+    count, epoch_len, install_local, installed, is_enabled, to_jsonl, OnRecord, Sink, SinkGuard,
 };
 pub use snapshot::{
     lane_emitters, replay, replay_hierarchy, replay_lanes, validate_jsonl, validate_sessions_jsonl,

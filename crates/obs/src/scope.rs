@@ -13,9 +13,14 @@
 //! numbered in program order so two fan-outs in one scope cannot collide),
 //! captures the caller's stack with [`fork`], installs it in each worker
 //! with [`adopt`], and wraps each item in an index scope — so nested
-//! fan-outs compose into paths like `fig9/f0001/i0004/r0000`.
+//! fan-outs compose into paths like `fig9/f0001/i0004/r0000`. The same
+//! hand-off carries the caller's [`Sink`], so a worker's replays record
+//! where the caller's would.
 
 use std::cell::RefCell;
+use std::sync::Arc;
+
+use crate::sink::{self, Sink};
 
 struct Frame {
     label: String,
@@ -94,48 +99,58 @@ pub fn scoped_fanout() -> ScopeGuard {
     scoped(&format!("f{seq:04}"))
 }
 
-/// A captured scope path, ready to carry to another thread.
+/// A captured scope path and sink, ready to carry to another thread.
 #[derive(Debug, Clone)]
-pub struct ScopeStack(Vec<String>);
-
-/// Captures the current thread's scope path (labels only — the receiving
-/// side starts fresh sequence counters, which is correct because item
-/// scopes are pushed around each unit of forked work).
-pub fn fork() -> ScopeStack {
-    STACK.with(|stack| ScopeStack(stack.borrow().iter().map(|f| f.label.clone()).collect()))
+pub struct ScopeStack {
+    labels: Vec<String>,
+    sink: Option<Arc<Sink>>,
 }
 
-/// Restores the previously installed stack on drop.
+/// Captures the current thread's scope path and sink (labels only — the
+/// receiving side starts fresh sequence counters, which is correct
+/// because item scopes are pushed around each unit of forked work).
+pub fn fork() -> ScopeStack {
+    ScopeStack {
+        labels: labels(),
+        sink: sink::installed(),
+    }
+}
+
+/// Restores the previously installed stack and sink on drop.
 #[must_use = "the adopted scope ends when this guard drops"]
 #[derive(Debug)]
 pub struct AdoptGuard {
-    saved: Vec<String>,
+    saved: ScopeStack,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl Drop for AdoptGuard {
     fn drop(&mut self) {
-        install(std::mem::take(&mut self.saved));
+        set_labels(std::mem::take(&mut self.saved.labels));
+        sink::swap(self.saved.sink.take());
     }
 }
 
-/// Replaces this thread's scope stack with a forked one (e.g. inside a
-/// worker thread); the previous stack is restored when the guard drops.
+/// Replaces this thread's scope stack and sink with forked ones (e.g.
+/// inside a worker thread); the previous ones are restored when the
+/// guard drops.
 pub fn adopt(stack: &ScopeStack) -> AdoptGuard {
-    let saved = STACK.with(|s| {
-        s.borrow()
-            .iter()
-            .map(|f| f.label.clone())
-            .collect::<Vec<_>>()
-    });
-    install(stack.0.clone());
+    let saved = ScopeStack {
+        labels: labels(),
+        sink: sink::swap(stack.sink.clone()),
+    };
+    set_labels(stack.labels.clone());
     AdoptGuard {
         saved,
         _not_send: std::marker::PhantomData,
     }
 }
 
-fn install(labels: Vec<String>) {
+fn labels() -> Vec<String> {
+    STACK.with(|stack| stack.borrow().iter().map(|f| f.label.clone()).collect())
+}
+
+fn set_labels(labels: Vec<String>) {
     STACK.with(|stack| {
         *stack.borrow_mut() = labels.into_iter().map(Frame::new).collect();
     });
@@ -248,7 +263,10 @@ mod tests {
     #[test]
     fn adopt_restores_previous_stack() {
         let _a = scoped("outer");
-        let empty = ScopeStack(Vec::new());
+        let empty = ScopeStack {
+            labels: Vec::new(),
+            sink: None,
+        };
         {
             let _adopted = adopt(&empty);
             assert_eq!(next_replay_path(), "r0000");

@@ -16,7 +16,7 @@ use cnt_cache::{
     ReliabilityCounters,
 };
 use cnt_encoding::FifoStats;
-use cnt_energy::EnergyBreakdown;
+use cnt_energy::{ChargeKind, EnergyBreakdown};
 use cnt_sim::trace::{MemoryAccess, Trace};
 use cnt_sim::{AccessError, CacheStats};
 
@@ -70,8 +70,8 @@ pub struct LevelSnapshot {
     pub energy: EnergyBreakdown,
     /// Energy spent in this epoch alone: `energy` minus the previous
     /// epoch's `energy` (equal to `energy` at epoch 0). Filled by
-    /// [`DeltaTracker`]; emitters that bypass it leave the cumulative
-    /// value here.
+    /// [`DeltaTracker`]; [`validate_jsonl`] checks that a replay's deltas
+    /// sum to its `energy`.
     pub energy_delta: EnergyBreakdown,
     /// Predictor windows, flips taken/rejected, projected vs realized
     /// savings.
@@ -267,7 +267,7 @@ impl Emitter {
     /// Starts a fresh observed replay: allocates the next replay id and
     /// counts the replay under the registry counter `counter`.
     pub fn start(counter: &str) -> Self {
-        sink::registry().counter(counter).inc();
+        sink::count(counter, 1);
         Emitter {
             experiment: scope::next_replay_path(),
             deltas: DeltaTracker::new(),
@@ -292,7 +292,7 @@ impl Emitter {
 
 /// Replays through `run(sim, clock, hook)` — a simulator's
 /// `run_observed` entry — emitting one snapshot per epoch when a sink is
-/// installed. With none, `run` gets no hook: one relaxed atomic load is
+/// installed. With none, `run` gets no hook: one thread-local read is
 /// all tracing adds, and the hot path stays allocation-free (see
 /// `tests/no_alloc_disabled.rs`).
 fn observe<S, F>(sim: &mut S, counter: &str, run: F) -> Result<usize, AccessError>
@@ -312,8 +312,7 @@ where
 }
 
 /// Replays `trace` — records, or a batch's `iter()` — through `cache`,
-/// emitting one snapshot per epoch to the installed sink (global, or
-/// this thread's local one).
+/// emitting one snapshot per epoch to this thread's sink.
 ///
 /// # Errors
 ///
@@ -397,22 +396,46 @@ pub struct JsonlSummary {
     pub experiments: usize,
 }
 
+/// One replay's running state while [`validate_jsonl`] reads its lines.
+struct Stream {
+    experiment: String,
+    epoch: u64,
+    accesses: u64,
+    /// Per level, the sum of every `energy_delta` seen so far.
+    deltas: Vec<EnergyBreakdown>,
+}
+
+/// The bit counters of a breakdown: reads and writes by value, then one
+/// per charge kind.
+fn bit_counts(energy: &EnergyBreakdown) -> impl Iterator<Item = u64> + '_ {
+    [
+        energy.bits_read_zero,
+        energy.bits_read_one,
+        energy.bits_written_zero,
+        energy.bits_written_one,
+    ]
+    .into_iter()
+    .chain(ChargeKind::ALL.iter().map(|&kind| energy.bits(kind)))
+}
+
 /// Validates a JSONL metrics stream: every line must parse as a
 /// [`Snapshot`] with at least one level, and within each experiment the
 /// epochs must increase by exactly one from zero with non-decreasing
-/// access counts. Snapshots carrying chunk-ingest counters must keep
-/// them non-decreasing too, consumption can never outrun reading, and
-/// the prefetch gauge must stay strictly below the read-but-unconsumed
-/// chunk gap (counting the in-flight chunk as buffered was a real bug).
+/// access counts. Each level's per-epoch `energy_delta`s must add up to
+/// its cumulative `energy`: exactly for the bit counters, within 1e-9
+/// relative for the total energy. Snapshots carrying chunk-ingest
+/// counters must keep them non-decreasing too, consumption can never
+/// outrun reading, and the prefetch gauge must stay strictly below the
+/// read-but-unconsumed chunk gap (counting the in-flight chunk as
+/// buffered was a real bug).
 ///
 /// # Errors
 ///
 /// Returns a message naming the first offending line.
 pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
-    // (experiment, last epoch, last accesses, level count) per stream;
-    // linear scan is fine for lint-sized inputs and keeps ordering
+    // Linear scan is fine for lint-sized inputs and keeps ordering
     // deterministic.
-    let mut streams: Vec<(String, u64, u64, usize)> = Vec::new();
+    let mut streams: Vec<Stream> = Vec::new();
     let mut ingests: Vec<(String, IngestSnapshot)> = Vec::new();
     let mut snapshots = 0usize;
     for (idx, line) in text.lines().enumerate() {
@@ -481,9 +504,9 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                 }
             }
         }
-        match streams
-            .iter_mut()
-            .find(|(id, _, _, _)| *id == snapshot.experiment)
+        let index = match streams
+            .iter()
+            .position(|stream| stream.experiment == snapshot.experiment)
         {
             None => {
                 if snapshot.epoch != 0 {
@@ -492,39 +515,61 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                         snapshot.experiment, snapshot.epoch
                     ));
                 }
-                streams.push((
-                    snapshot.experiment.clone(),
-                    0,
-                    snapshot.accesses,
-                    snapshot.levels.len(),
-                ));
+                streams.push(Stream {
+                    experiment: snapshot.experiment.clone(),
+                    epoch: 0,
+                    accesses: snapshot.accesses,
+                    deltas: vec![EnergyBreakdown::default(); snapshot.levels.len()],
+                });
+                streams.len() - 1
             }
-            Some((id, last_epoch, last_accesses, levels)) => {
-                if snapshot.epoch != *last_epoch + 1 {
+            Some(index) => {
+                let stream = &mut streams[index];
+                let id = &stream.experiment;
+                if snapshot.epoch != stream.epoch + 1 {
                     return Err(format!(
-                        "line {lineno}: experiment `{id}` jumps from epoch {last_epoch} to {}",
-                        snapshot.epoch
+                        "line {lineno}: experiment `{id}` jumps from epoch {} to {}",
+                        stream.epoch, snapshot.epoch
                     ));
                 }
-                if snapshot.accesses < *last_accesses {
+                if snapshot.accesses < stream.accesses {
                     return Err(format!(
                         "line {lineno}: experiment `{id}` access count went backwards \
-                         ({last_accesses} -> {})",
-                        snapshot.accesses
+                         ({} -> {})",
+                        stream.accesses, snapshot.accesses
                     ));
                 }
                 // A resumed stream spliced onto the wrong run changes the
                 // hierarchy shape mid-experiment; an uninterrupted (or
                 // correctly resumed) one never does.
-                if snapshot.levels.len() != *levels {
+                if snapshot.levels.len() != stream.deltas.len() {
                     return Err(format!(
-                        "line {lineno}: experiment `{id}` changes from {levels} cache \
+                        "line {lineno}: experiment `{id}` changes from {} cache \
                          levels to {} mid-stream",
+                        stream.deltas.len(),
                         snapshot.levels.len()
                     ));
                 }
-                *last_epoch = snapshot.epoch;
-                *last_accesses = snapshot.accesses;
+                stream.epoch = snapshot.epoch;
+                stream.accesses = snapshot.accesses;
+                index
+            }
+        };
+        // Per-epoch deltas telescope to the cumulative accumulators; an
+        // emitter that leaves `energy_delta` cumulative double-counts.
+        let stream = &mut streams[index];
+        for (sum, level) in stream.deltas.iter_mut().zip(&snapshot.levels) {
+            *sum += level.energy_delta.clone();
+            let (summed, total) = (sum.total().picojoules(), level.energy.total().picojoules());
+            if !bit_counts(sum).eq(bit_counts(&level.energy))
+                || (summed - total).abs() > 1e-9 * summed.abs().max(total.abs())
+            {
+                return Err(format!(
+                    "line {lineno}: experiment `{}` level `{}`: per-epoch energy deltas \
+                     do not sum to the cumulative energy (bit counters or {summed} pJ \
+                     vs {total} pJ)",
+                    stream.experiment, level.level
+                ));
             }
         }
         snapshots += 1;
@@ -771,6 +816,25 @@ mod tests {
         };
         let err = validate_jsonl(&format!("{}\n{two_levels}\n", line("a", 0, 10))).unwrap_err();
         assert!(err.contains("cache levels"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_cumulative_energy_deltas() {
+        let epoch = |epoch: u64, cumulative: u64, delta: u64| {
+            let mut snapshot: Snapshot =
+                serde_json::from_str(&line("a", epoch, (epoch + 1) * 10)).expect("parses");
+            snapshot.levels[0].energy.bits_written_one = cumulative;
+            snapshot.levels[0].energy_delta.bits_written_one = delta;
+            serde_json::to_string(&snapshot).expect("serializes")
+        };
+        let per_epoch = format!("{}\n{}\n", epoch(0, 10, 10), epoch(1, 15, 5));
+        validate_jsonl(&per_epoch).expect("deltas sum to the cumulative energy");
+        let cumulative = format!("{}\n{}\n", epoch(0, 10, 10), epoch(1, 15, 15));
+        let err = validate_jsonl(&cumulative).unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("deltas"),
+            "{err}"
+        );
     }
 
     #[test]

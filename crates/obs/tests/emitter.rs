@@ -1,9 +1,9 @@
 //! Epoch-boundary behaviour of the snapshot emitter.
 //!
-//! Each test installs a thread-local sink (`install_local`) rather than
-//! the global one, so the tests are independent of process-wide state
-//! and can run in parallel. The parallel-vs-sequential determinism of
-//! the *global* sink is covered by `crates/bench/tests/metrics_determinism.rs`.
+//! Each test installs its own sink on its own thread (`install_local`),
+//! so the tests are independent and can run in parallel. The
+//! parallel-vs-sequential determinism of a sink shared with pool workers
+//! is covered by `crates/bench/tests/metrics_determinism.rs`.
 
 use cnt_cache::{CntCache, CntCacheConfig, CntHierarchy, CntHierarchyConfig, EncodingPolicy};
 use cnt_obs::{install_local, validate_jsonl, Snapshot};

@@ -3,7 +3,7 @@
 //! One listening socket, one connection-handler thread per client, one
 //! **session thread** per admitted replay. The split matters for
 //! determinism: `cnt-obs` replay ids and session sinks are thread-local
-//! (see `cnt_obs::local`), so running each session's two-pass replay on
+//! (see `cnt_obs::sink`), so running each session's two-pass replay on
 //! a fresh thread gives it the exact same id sequence (`r0000`,
 //! `r0001`) and metrics stream as an offline `tracegen stream-replay`
 //! of the same trace — byte-identical, which is the audit bar this
@@ -927,24 +927,24 @@ fn run_session_thread(
     };
     let (base_cfg, cnt_cfg) = cnt_bench::driver::stream_config_pair();
 
-    // The session's metrics sink: thread-local, optionally streaming.
-    let guard = (meta.metrics_every > 0).then(|| {
-        let observer = out.map(|sender| -> cnt_obs::OnRecord {
-            let progress = progress.clone();
-            Box::new(move |snapshot: &cnt_obs::Snapshot| {
-                if let Ok(line) = serde_json::to_string(snapshot) {
-                    // A full channel blocks here: a slow consumer
-                    // back-pressures the replay instead of ballooning
-                    // buffered snapshots.
-                    sender.send(Outbound::Obs(line + "\n")).ok();
-                    if let Some(progress) = &progress {
-                        progress.fetch_add(1, Ordering::SeqCst);
-                    }
+    // The session's own sink, optionally streaming: its counters and
+    // snapshots never mix with another session's. `metrics_every == 0`
+    // keeps counters only.
+    let observer = out.map(|sender| -> cnt_obs::OnRecord {
+        let progress = progress.clone();
+        Box::new(move |snapshot: &cnt_obs::Snapshot| {
+            if let Ok(line) = serde_json::to_string(snapshot) {
+                // A full channel blocks here: a slow consumer
+                // back-pressures the replay instead of ballooning
+                // buffered snapshots.
+                sender.send(Outbound::Obs(line + "\n")).ok();
+                if let Some(progress) = &progress {
+                    progress.fetch_add(1, Ordering::SeqCst);
                 }
-            })
-        });
-        cnt_obs::install_local(meta.metrics_every, observer)
+            }
+        })
     });
+    let guard = cnt_obs::install_local(meta.metrics_every, observer);
 
     // Resume from the newest checkpoint generation, if the session was
     // interrupted mid-replay.
@@ -1011,9 +1011,7 @@ fn run_session_thread(
     };
 
     // Completion: metrics file, multiplex log, done marker.
-    let snapshots = guard
-        .map(cnt_obs::LocalSinkGuard::finish)
-        .unwrap_or_default();
+    let snapshots = guard.finish();
     let count = snapshots.len() as u64;
     if count > 0 {
         let jsonl = cnt_obs::to_jsonl(&snapshots)
