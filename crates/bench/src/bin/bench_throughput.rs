@@ -288,12 +288,8 @@ fn time_stages(iters: u32, warmup: u32) -> Vec<BenchRow> {
     // puts the largest share of each access in the bare simulator, not
     // in the meter or the kernels timed above.
     {
-        let batches: Vec<AccessBatch> = workloads
-            .iter()
-            .map(|w| AccessBatch::from_trace(&w.trace))
-            .collect();
         let accesses: u64 =
-            batches.iter().map(|b| b.len() as u64).sum::<u64>() * policies.len() as u64;
+            workloads.iter().map(|w| w.trace.len() as u64).sum::<u64>() * policies.len() as u64;
         rows.push(time_stage(
             "replay",
             "accesses/s",
@@ -302,9 +298,9 @@ fn time_stages(iters: u32, warmup: u32) -> Vec<BenchRow> {
             warmup,
             || {
                 let mut sum = 0u64;
-                for batch in &batches {
+                for w in &workloads {
                     for &policy in &policies {
-                        let report = run_dcache_batch(policy, batch);
+                        let report = run_dcache_batch(policy, &w.trace);
                         sum = sum.wrapping_add(report.stats.accesses());
                     }
                 }

@@ -35,10 +35,10 @@ use cnt_bench::driver::{
 };
 use cnt_bench::pool;
 use cnt_import::{import_file, ImportOptions, SourceFormat};
-use cnt_sim::trace::Trace;
+use cnt_sim::trace::AccessBatch;
 use cnt_trace::{
-    pack_accesses_with, pack_trace_with, read_trace, rotate, CheckpointRotator, CorruptionPolicy,
-    PackSummary, ReadOptions, StreamReader, WriteOptions,
+    pack_accesses_with, read_trace, rotate, CheckpointRotator, CorruptionPolicy, PackSummary,
+    ReadOptions, StreamReader, WriteOptions,
 };
 use cnt_workloads::synthetic::{AddressPattern, SyntheticSpec};
 use cnt_workloads::{suite_extended, Workload};
@@ -237,7 +237,7 @@ fn cmd_pack(args: &[String]) -> Result<(), CmdError> {
         }
     }
     let trace = load_text_or_json(input)?;
-    let summary = write_ctr(output, |sink| pack_trace_with(&trace, sink, options))?;
+    let summary = write_ctr(output, |sink| pack_accesses_with(&trace, sink, options))?;
     print_pack_summary(output, &summary);
     Ok(())
 }
@@ -566,7 +566,7 @@ fn split_positionals(args: &[String]) -> (Vec<&String>, Vec<String>) {
     (args[..boundary].iter().collect(), args[boundary..].to_vec())
 }
 
-fn load_text_or_json(path: &str) -> Result<Trace, CmdError> {
+fn load_text_or_json(path: &str) -> Result<AccessBatch, CmdError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| Runtime(format!("cannot read `{path}`: {e}")))?;
     if path.ends_with(".json") {
@@ -611,7 +611,7 @@ fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
 
-fn print_stats(name: &str, description: &str, trace: &Trace) {
+fn print_stats(name: &str, description: &str, trace: &AccessBatch) {
     println!("workload:   {name}");
     println!("detail:     {description}");
     println!("accesses:   {}", trace.len());

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use cnt_cache::prelude::*;
 use cnt_cache::EpochClock;
 use cnt_obs::Emitter;
-use cnt_sim::trace::Trace;
+use cnt_sim::trace::AccessBatch;
 use cnt_sim::MainMemory;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -96,7 +96,7 @@ impl CampaignOutcome {
 /// Panics if the trace fails to replay, or — by design — when
 /// [`MetadataFaultPolicy::Panic`] meets an uncorrectable upset.
 #[must_use]
-pub fn run_cell(trace: &Trace, spec: &CampaignSpec) -> CampaignOutcome {
+pub fn run_cell(trace: &AccessBatch, spec: &CampaignSpec) -> CampaignOutcome {
     // Golden image: same trace, no faults, plain replay.
     let mut golden = MainMemory::new();
     for access in trace {
@@ -128,7 +128,7 @@ pub fn run_cell(trace: &Trace, spec: &CampaignSpec) -> CampaignOutcome {
     let scrub = spec.scrub && spec.protection != ProtectionMode::None;
     let mut injected = 0;
     for (i, access) in trace.iter().enumerate() {
-        cache.access(access).expect("trace runs");
+        cache.access(&access).expect("trace runs");
         if injected < spec.faults && i % interval == interval - 1 {
             // Same victim selection as fig13: counted line index, then a
             // partition drawn from the codec layout.
@@ -254,7 +254,7 @@ pub fn default_grid(fault_counts: &[usize], seed: u64) -> Vec<CampaignSpec> {
 /// Runs every cell of `grid` over `trace` on the shared worker pool,
 /// returning outcomes in grid order.
 #[must_use]
-pub fn sweep(trace: &Trace, grid: &[CampaignSpec]) -> Vec<CampaignOutcome> {
+pub fn sweep(trace: &AccessBatch, grid: &[CampaignSpec]) -> Vec<CampaignOutcome> {
     crate::pool::par_map(grid, |spec| run_cell(trace, spec))
 }
 
@@ -362,7 +362,7 @@ impl HistoryOutcome {
 /// Panics if the trace fails to replay.
 #[must_use]
 pub fn run_history_cell(
-    trace: &Trace,
+    trace: &AccessBatch,
     protection: ProtectionMode,
     faults: usize,
     seed: u64,
@@ -380,7 +380,7 @@ pub fn run_history_cell(
     // itself must not count as skew.
     let mut golden = build(protection);
     for access in trace {
-        golden.access(access).expect("trace runs");
+        golden.access(&access).expect("trace runs");
     }
     golden.flush();
     let golden_counters = *golden.encoding_counters();
@@ -390,7 +390,7 @@ pub fn run_history_cell(
     let interval = (trace.len() / (faults + 1)).max(1);
     let mut injected = 0;
     for (i, access) in trace.iter().enumerate() {
-        cache.access(access).expect("trace runs");
+        cache.access(&access).expect("trace runs");
         if injected < faults && i % interval == interval - 1 {
             let count = cache.valid_line_count();
             if count > 0 {
@@ -426,7 +426,7 @@ pub fn run_history_cell(
 /// the shared worker pool, in grid order.
 #[must_use]
 pub fn sweep_history(
-    trace: &Trace,
+    trace: &AccessBatch,
     grid: &[(ProtectionMode, usize)],
     seed: u64,
 ) -> Vec<HistoryOutcome> {

@@ -77,7 +77,8 @@ pub struct SessionPlan<'a> {
     pub cnt_cfg: &'a CntCacheConfig,
     /// The metrics epoch length the caller installed a sink with, or
     /// `None` for an unobserved replay. Only recorded into checkpoint
-    /// driver state — the sink itself is the caller's.
+    /// driver state — the sink itself is the caller's, and
+    /// [`run_two_pass`] asserts the two agree.
     pub metrics_every: Option<u64>,
     /// Periodic checkpointing, if any.
     pub checkpoint: Option<CheckpointPlan<'a>>,
@@ -183,6 +184,12 @@ pub fn restore_resume_obs(driver: &DriverState, obs: ObsState) {
 /// [`DriverError::Replay`] for any stream/simulation/checkpoint/
 /// cancellation failure; [`DriverError::Resume`] when the checkpoint's
 /// driver state cannot drive this plan.
+///
+/// # Panics
+///
+/// Panics if `plan.metrics_every` is not the installed sink's epoch
+/// length ([`cnt_obs::epoch_len`]): checkpoints would record an epoch
+/// the stream does not use.
 pub fn run_two_pass(
     plan: SessionPlan<'_>,
     resume: Option<&ResumeState>,
@@ -196,6 +203,11 @@ pub fn run_two_pass(
         mut checkpoint,
         cancel,
     } = plan;
+    assert_eq!(
+        metrics_every,
+        cnt_obs::epoch_len(),
+        "plan.metrics_every must match the installed metrics sink"
+    );
     let pair = (base_cfg, cnt_cfg);
 
     let mut one_pass = |config: &CntCacheConfig,
@@ -289,5 +301,27 @@ pub fn run_two_pass(
             let cnt = one_pass(cnt_cfg, 1, Some(&base), None)?;
             Ok(TwoPassOutcome { base, cnt })
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "plan.metrics_every must match the installed metrics sink")]
+    fn plan_epoch_must_match_the_installed_sink() {
+        let _guard = cnt_obs::install_local(5_000, None);
+        let (base_cfg, cnt_cfg) = stream_config_pair();
+        let plan = SessionPlan {
+            input: Path::new("unread.ctr"),
+            opts: ReadOptions::default(),
+            base_cfg: &base_cfg,
+            cnt_cfg: &cnt_cfg,
+            metrics_every: Some(1_000),
+            checkpoint: None,
+            cancel: None,
+        };
+        let _ = run_two_pass(plan, None);
     }
 }

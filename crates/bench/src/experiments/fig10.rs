@@ -26,7 +26,7 @@ fn policy(confirm_windows: u32) -> EncodingPolicy {
 }
 
 /// A fig8 thrash cell: balanced mix, extreme density.
-pub fn thrash_trace(accesses: usize) -> cnt_sim::trace::Trace {
+pub fn thrash_trace(accesses: usize) -> cnt_sim::trace::AccessBatch {
     SyntheticSpec {
         accesses,
         footprint_lines: 128,

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy};
-use cnt_sim::trace::Trace;
+use cnt_sim::trace::AccessBatch;
 use cnt_sim::{Address, MainMemory};
 use cnt_workloads::kernels;
 use rand::rngs::SmallRng;
@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 /// Runs `trace` on an adaptive cache, injecting `faults` direction-bit
 /// upsets at evenly spaced points, and returns the number of corrupted
 /// 64-bit words in the final memory image.
-pub fn corrupted_words(trace: &Trace, faults: usize, seed: u64) -> usize {
+pub fn corrupted_words(trace: &AccessBatch, faults: usize, seed: u64) -> usize {
     // Golden image: same trace, no faults, plain replay.
     let mut golden = MainMemory::new();
     for access in trace {
@@ -39,7 +39,7 @@ pub fn corrupted_words(trace: &Trace, faults: usize, seed: u64) -> usize {
     let interval = (trace.len() / (faults + 1)).max(1);
     let mut injected = 0;
     for (i, access) in trace.iter().enumerate() {
-        cache.access(access).expect("trace runs");
+        cache.access(&access).expect("trace runs");
         if injected < faults && i % interval == interval - 1 {
             // Upset a random partition of a random valid line. The line
             // is picked by counted index (no per-upset allocation) and

@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 
 use cnt_cache::{CntHierarchy, CntHierarchyConfig, EncodingPolicy};
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::Address;
 use cnt_workloads::synthetic::word_with_density;
 use cnt_workloads::Workload;
@@ -21,12 +21,12 @@ const CODE_LINES: u64 = 128;
 
 /// Interleaves one instruction fetch (looping code footprint) before each
 /// data access, approximating an in-order core's pipeline traffic.
-pub fn with_ifetch(data: &Trace) -> Trace {
-    let mut out = Trace::new();
+pub fn with_ifetch(data: &AccessBatch) -> AccessBatch {
+    let mut out = AccessBatch::new();
     for (i, access) in data.iter().enumerate() {
         let pc = CODE_BASE + (i as u64 % (CODE_LINES * 8)) * 8;
         out.push(MemoryAccess::ifetch(Address::new(pc)));
-        out.push(*access);
+        out.push(access);
     }
     out
 }
@@ -58,7 +58,7 @@ pub fn placements() -> Vec<(&'static str, EncodingPolicy, EncodingPolicy, Encodi
 }
 
 fn total_energy(
-    trace: &Trace,
+    trace: &AccessBatch,
     l1i: EncodingPolicy,
     l1d: EncodingPolicy,
     l2: EncodingPolicy,
@@ -76,7 +76,7 @@ fn total_energy(
 
 /// Mean whole-hierarchy saving per placement over a workload list.
 pub fn data(workloads: &[Workload]) -> Vec<(&'static str, f64)> {
-    let traces: Vec<Trace> = workloads.iter().map(|w| with_ifetch(&w.trace)).collect();
+    let traces: Vec<AccessBatch> = workloads.iter().map(|w| with_ifetch(&w.trace)).collect();
     let baselines: Vec<f64> = traces
         .iter()
         .map(|t| {
@@ -129,9 +129,9 @@ mod tests {
         let workloads: Vec<cnt_workloads::Workload> = cnt_workloads::suite_small()[..4]
             .iter()
             .map(|w| {
-                let mut trace = Trace::new();
+                let mut trace = AccessBatch::new();
                 for _ in 0..4 {
-                    trace.extend(w.trace.iter().copied());
+                    trace.extend(&w.trace);
                 }
                 cnt_workloads::Workload::new(w.name.clone(), w.description.clone(), trace)
             })

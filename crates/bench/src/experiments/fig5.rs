@@ -18,7 +18,7 @@ pub const PARTITIONS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 /// A heterogeneous "record stream": lines interleave four sparse words
 /// (ids/flags, 5 % ones) with four dense words (hashes, 75 % ones). No
 /// single inversion direction suits such a line — the Fig. 2 case.
-pub fn record_stream(accesses: usize) -> cnt_sim::trace::Trace {
+pub fn record_stream(accesses: usize) -> cnt_sim::trace::AccessBatch {
     StripedSpec {
         accesses,
         footprint_lines: 128,

@@ -17,7 +17,7 @@ use crate::runner::{mean, run_dcache_matrix, run_dcache_set};
 
 /// A code-fetch surrogate: loop-reused sequential fetches over
 /// 30 %-density instruction words (the init writes model program load).
-pub fn icache_trace(accesses: usize) -> cnt_sim::trace::Trace {
+pub fn icache_trace(accesses: usize) -> cnt_sim::trace::AccessBatch {
     SyntheticSpec {
         accesses,
         footprint_lines: 96,

@@ -69,7 +69,7 @@ impl ArrayObserver for OracleMeter {
 }
 
 /// Oracle total for one trace under the D-Cache geometry.
-pub fn oracle_total(trace: &cnt_sim::trace::Trace) -> Energy {
+pub fn oracle_total(trace: &cnt_sim::trace::AccessBatch) -> Energy {
     let geometry = CacheGeometry::new(32 * 1024, 64, 8).expect("static geometry");
     let mut cache = Cache::new("oracle", geometry, ReplacementKind::Lru);
     let mut mem = MainMemory::new();

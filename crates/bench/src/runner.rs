@@ -2,7 +2,7 @@
 
 use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EnergyReport, LaneGroup};
 use cnt_obs::Emitter;
-use cnt_sim::trace::{AccessBatch, Trace};
+use cnt_sim::trace::AccessBatch;
 use cnt_sim::ReplacementKind;
 use cnt_workloads::Workload;
 
@@ -37,7 +37,7 @@ pub fn dcache_config(name: &str, policy: EncodingPolicy) -> CntCacheConfig {
 ///
 /// Panics if a configuration is invalid or the trace contains malformed
 /// accesses — both indicate harness bugs, not user errors.
-pub fn run_configs(configs: &[CntCacheConfig], trace: &Trace) -> Vec<EnergyReport> {
+pub fn run_configs(configs: &[CntCacheConfig], trace: &AccessBatch) -> Vec<EnergyReport> {
     let mut emitters: Vec<Option<Emitter>> = cnt_obs::lane_emitters(configs.len())
         .into_iter()
         .map(Some)
@@ -76,7 +76,10 @@ pub fn run_configs(configs: &[CntCacheConfig], trace: &Trace) -> Vec<EnergyRepor
 /// # Panics
 ///
 /// As [`run_configs`].
-pub fn run_lanes<const K: usize>(configs: [CntCacheConfig; K], trace: &Trace) -> [EnergyReport; K] {
+pub fn run_lanes<const K: usize>(
+    configs: [CntCacheConfig; K],
+    trace: &AccessBatch,
+) -> [EnergyReport; K] {
     run_configs(&configs, trace)
         .try_into()
         .unwrap_or_else(|_| unreachable!("run_configs returns one report per config"))
@@ -87,19 +90,19 @@ pub fn run_lanes<const K: usize>(configs: [CntCacheConfig; K], trace: &Trace) ->
 /// # Panics
 ///
 /// As [`run_configs`].
-pub fn run_trace(config: CntCacheConfig, trace: &Trace) -> EnergyReport {
+pub fn run_trace(config: CntCacheConfig, trace: &AccessBatch) -> EnergyReport {
     let [report] = run_lanes([config], trace);
     report
 }
 
 /// Runs a trace under the paper's D-Cache geometry with the given policy.
-pub fn run_dcache(policy: EncodingPolicy, trace: &Trace) -> EnergyReport {
+pub fn run_dcache(policy: EncodingPolicy, trace: &AccessBatch) -> EnergyReport {
     run_trace(dcache_config("L1D", policy), trace)
 }
 
 /// The D-Cache without encoding and under the paper's adaptive policy,
 /// as two lanes of one simulation: `[baseline, adaptive]`.
-pub fn run_dcache_pair(trace: &Trace) -> [EnergyReport; 2] {
+pub fn run_dcache_pair(trace: &AccessBatch) -> [EnergyReport; 2] {
     run_lanes(
         [
             dcache_config("L1D", EncodingPolicy::None),
@@ -149,7 +152,7 @@ pub fn run_dcache_matrix(
 
 /// Replays one trace under several policies, in policy order: the
 /// one-workload [`run_dcache_matrix`] (replay ids `…/i0000/r{p}`).
-pub fn run_dcache_set(policies: &[EncodingPolicy], trace: &Trace) -> Vec<EnergyReport> {
+pub fn run_dcache_set(policies: &[EncodingPolicy], trace: &AccessBatch) -> Vec<EnergyReport> {
     let configs: Vec<CntCacheConfig> = policies
         .iter()
         .map(|&policy| dcache_config("L1D", policy))
@@ -211,10 +214,9 @@ mod tests {
     #[test]
     fn batched_replay_matches_iterator_replay() {
         let w = kernels::histogram(256, 16, 1);
-        let batch = AccessBatch::from_trace(&w.trace);
         for policy in [EncodingPolicy::None, EncodingPolicy::adaptive_default()] {
             let a = run_dcache(policy, &w.trace);
-            let b = run_dcache_batch(policy, &batch);
+            let b = run_dcache_batch(policy, &w.trace);
             assert_eq!(a, b, "batched and iterator replays must agree exactly");
         }
     }

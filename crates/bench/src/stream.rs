@@ -484,11 +484,11 @@ pub fn run_dcache_stream(
 mod tests {
     use super::*;
     use crate::runner::run_dcache;
-    use cnt_sim::trace::{MemoryAccess, Trace};
+    use cnt_sim::trace::{AccessBatch, MemoryAccess};
     use cnt_sim::Address;
-    use cnt_trace::pack_trace;
+    use cnt_trace::pack_accesses;
 
-    fn sample_trace(n: u64) -> Trace {
+    fn sample_trace(n: u64) -> AccessBatch {
         (0..n)
             .map(|i| {
                 let addr = Address::new(0x4000 + (i % 300) * 8);
@@ -501,9 +501,9 @@ mod tests {
             .collect()
     }
 
-    fn packed(trace: &Trace, chunk_accesses: u32) -> Vec<u8> {
+    fn packed(trace: &AccessBatch, chunk_accesses: u32) -> Vec<u8> {
         let mut bytes = Vec::new();
-        pack_trace(trace, &mut bytes, chunk_accesses).expect("packs");
+        pack_accesses(trace, &mut bytes, chunk_accesses).expect("packs");
         bytes
     }
 

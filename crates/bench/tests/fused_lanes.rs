@@ -7,7 +7,7 @@ use cnt_bench::runner::run_configs;
 use cnt_cache::{AdaptiveParams, CntCache, CntCacheConfig, EncodingPolicy, EnergyReport};
 use cnt_encoding::{BitPreference, ProtectionMode};
 use cnt_obs::Snapshot;
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::{Address, FillPattern, PrefetchPolicy, ReplacementKind, WriteMode};
 use proptest::prelude::*;
 
@@ -49,8 +49,8 @@ fn policies() -> Vec<EncodingPolicy> {
     ]
 }
 
-fn trace_of(ops: &[(u64, u64, bool)]) -> Trace {
-    let mut trace = Trace::new();
+fn trace_of(ops: &[(u64, u64, bool)]) -> AccessBatch {
+    let mut trace = AccessBatch::new();
     for &(raw, value, is_write) in ops {
         // Sparse or dense payloads, so encoders actually switch.
         let value = if value % 3 == 0 {

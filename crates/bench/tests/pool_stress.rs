@@ -15,9 +15,9 @@ use std::time::Duration;
 use cnt_bench::pool;
 use cnt_bench::stream::replay_stream;
 use cnt_cache::{CntCache, EncodingPolicy};
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::Address;
-use cnt_trace::{pack_trace, CorruptionPolicy, ReadOptions, StreamReader};
+use cnt_trace::{pack_accesses, CorruptionPolicy, ReadOptions, StreamReader};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -159,7 +159,7 @@ fn deep_uneven_nesting_terminates_with_correct_results() {
     assert_eq!(pool::available_budget(), 7, "budget restored");
 }
 
-fn sample_trace(n: u64) -> Trace {
+fn sample_trace(n: u64) -> AccessBatch {
     (0..n)
         .map(|i| {
             let addr = Address::new(0x8000 + (i % 512) * 8);
@@ -180,7 +180,7 @@ fn jobs_sweep_is_identical_on_streamed_replay() {
     let (_guard, _restore) = lock();
     let trace = sample_trace(4_000);
     let mut bytes = Vec::new();
-    pack_trace(&trace, &mut bytes, 64).expect("packs");
+    pack_accesses(&trace, &mut bytes, 64).expect("packs");
 
     let replay = |jobs: usize| {
         pool::set_jobs(jobs);

@@ -12,15 +12,15 @@ use cnt_bench::stream::{
 };
 use cnt_cache::{CntCache, EncodingPolicy, EnergyReport};
 use cnt_obs::{install_local, Snapshot};
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::Address;
-use cnt_trace::{pack_trace, Checkpointable, CorruptionPolicy, ReadOptions, StreamReader};
+use cnt_trace::{pack_accesses, Checkpointable, CorruptionPolicy, ReadOptions, StreamReader};
 use cnt_workloads::synthetic::{AddressPattern, SyntheticSpec};
 use proptest::prelude::*;
 
-fn pack(trace: &Trace, chunk: u32) -> Vec<u8> {
+fn pack(trace: &AccessBatch, chunk: u32) -> Vec<u8> {
     let mut bytes = Vec::new();
-    pack_trace(trace, &mut bytes, chunk).expect("packs");
+    pack_accesses(trace, &mut bytes, chunk).expect("packs");
     bytes
 }
 
@@ -71,11 +71,11 @@ proptest! {
         chunk in 1u32..64,
         budget_kib in 1usize..16,
     ) {
-        let trace = Trace::from_iter(accesses);
+        let trace = AccessBatch::from_iter(accesses);
 
         // JSON leg: the trace survives the text interchange format.
         let json = serde_json::to_string(&trace).expect("serializes");
-        let from_json: Trace = serde_json::from_str(&json).expect("parses");
+        let from_json: AccessBatch = serde_json::from_str(&json).expect("parses");
         prop_assert_eq!(&from_json, &trace);
 
         let bytes = pack(&from_json, chunk);
@@ -113,7 +113,7 @@ proptest! {
         budget_kib in 1usize..4,
         every in 1u64..90,
     ) {
-        let trace = Trace::from_iter(accesses);
+        let trace = AccessBatch::from_iter(accesses);
         let bytes = pack(&trace, chunk);
         let opts = ReadOptions {
             budget_bytes: budget_kib * 1024,
@@ -170,7 +170,7 @@ proptest! {
         chunk in 1u32..32,
         cut_back in 1usize..11,
     ) {
-        let trace = Trace::from_iter(accesses);
+        let trace = AccessBatch::from_iter(accesses);
         let bytes = pack(&trace, chunk);
         prop_assume!(cut_back < bytes.len());
         let cut = &bytes[..bytes.len() - cut_back];
@@ -193,7 +193,7 @@ proptest! {
         accesses in prop::collection::vec(arb_access(), 50..300),
         flip_frac in 0.1f64..0.9,
     ) {
-        let trace = Trace::from_iter(accesses);
+        let trace = AccessBatch::from_iter(accesses);
         let chunk = 16u32;
         let mut bytes = pack(&trace, chunk);
         let flip_at = cnt_trace::HEADER_BYTES
@@ -227,7 +227,7 @@ proptest! {
 /// sink it recorded into.
 #[test]
 fn observed_streamed_replays_are_counted_once_each() {
-    let trace: Trace = (0..2_500u64)
+    let trace: AccessBatch = (0..2_500u64)
         .map(|i| MemoryAccess::read(Address::new((i % 700) * 8), 8))
         .collect();
     let bytes = pack(&trace, 256);

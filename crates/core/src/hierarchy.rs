@@ -6,6 +6,8 @@
 //! (experiment `fig15`): the paper applies adaptive encoding to the
 //! D-Cache; here any subset of levels can be encoded and compared.
 
+use std::borrow::Borrow;
+
 use cnt_sim::trace::{AccessKind, MemoryAccess};
 use cnt_sim::{AccessError, Address, Backing, MainMemory, MemorySnapshot};
 use cnt_trace::{CheckpointError, Checkpointable};
@@ -161,9 +163,10 @@ impl CntHierarchy {
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
-    pub fn run<'a, I>(&mut self, trace: I) -> Result<usize, AccessError>
+    pub fn run<I>(&mut self, trace: I) -> Result<usize, AccessError>
     where
-        I: IntoIterator<Item = &'a MemoryAccess>,
+        I: IntoIterator,
+        I::Item: Borrow<MemoryAccess>,
     {
         self.run_observed(trace, &mut EpochClock::default(), None)
     }
@@ -174,19 +177,20 @@ impl CntHierarchy {
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
-    pub fn run_observed<'a, I>(
+    pub fn run_observed<I>(
         &mut self,
         trace: I,
         clock: &mut EpochClock,
         epoch_hook: Option<EpochHook<'_, Self>>,
     ) -> Result<usize, AccessError>
     where
-        I: IntoIterator<Item = &'a MemoryAccess>,
+        I: IntoIterator,
+        I::Item: Borrow<MemoryAccess>,
     {
         drive(
             self,
             trace,
-            |h, access| h.access(access).map(drop),
+            |h, access| h.access(access.borrow()).map(drop),
             clock,
             epoch_hook,
         )

@@ -85,6 +85,6 @@ pub mod prelude {
     };
     pub use cnt_encoding::{BitPreference, OverflowPolicy, ProtectionMode};
     pub use cnt_energy::{ChargeKind, Energy, SramEnergyModel};
-    pub use cnt_sim::trace::{AccessKind, MemoryAccess, Trace};
+    pub use cnt_sim::trace::{AccessBatch, AccessKind, MemoryAccess};
     pub use cnt_sim::{Address, CacheGeometry, FillPattern, ReplacementKind};
 }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EpochClock, LaneGroup};
 use cnt_encoding::ProtectionMode;
-use cnt_sim::trace::{AccessBatch, MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::Address;
 
 struct CountingAllocator;
@@ -48,8 +48,8 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// A deterministic mixed read/write trace over a footprint larger than
 /// the cache, so the replay exercises hits, misses, fills, evictions,
 /// write-backs, window decisions, and FIFO drains.
-fn hot_trace() -> Trace {
-    let mut trace = Trace::new();
+fn hot_trace() -> AccessBatch {
+    let mut trace = AccessBatch::new();
     let mut state = 0x2E60_1234_5678_9ABCu64;
     for i in 0..60_000u64 {
         // xorshift64 keeps the trace allocation-free and reproducible.
@@ -112,9 +112,8 @@ fn steady_state_replay_allocates_nothing() {
     assert_steady_state_allocates_nothing("run", adaptive(), |cache| {
         cache.run(trace.iter()).expect("well-formed trace");
     });
-    let batch = AccessBatch::from_trace(&trace);
     assert_steady_state_allocates_nothing("run_batch", adaptive(), |cache| {
-        cache.run_batch(&batch).expect("well-formed batch");
+        cache.run_batch(&trace).expect("well-formed batch");
     });
     // Three lanes over one simulation: the fan-out allocates nothing
     // either.

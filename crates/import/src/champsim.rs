@@ -30,7 +30,7 @@
 //! truncation stays fatal because past it there is no 64-byte boundary
 //! to trust.
 
-use cnt_sim::trace::MemoryAccess;
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::Address;
 
 use crate::error::ImportError;
@@ -52,12 +52,8 @@ pub fn parse_champsim(bytes: &[u8], lenient: bool) -> Result<ParsedStream, Impor
     for (idx, record) in bytes[..whole].chunks_exact(RECORD_BYTES).enumerate() {
         let offset = (idx * RECORD_BYTES) as u64;
         out.records_in += 1;
-        match parse_record(record, offset) {
-            Ok(accesses) => {
-                for access in accesses {
-                    out.push(access);
-                }
-            }
+        match parse_record(record, offset, &mut out.accesses) {
+            Ok(()) => {}
             Err(e) if lenient && e.is_droppable() => out.drop_record(&e),
             Err(e) => return Err(e),
         }
@@ -72,8 +68,9 @@ pub fn parse_champsim(bytes: &[u8], lenient: bool) -> Result<ParsedStream, Impor
     Ok(out)
 }
 
-/// Decodes one 64-byte record into its demand accesses.
-fn parse_record(record: &[u8], offset: u64) -> Result<Vec<MemoryAccess>, ImportError> {
+/// Decodes one 64-byte record and appends its demand accesses to `out`
+/// (nothing is appended when the record is rejected).
+fn parse_record(record: &[u8], offset: u64, out: &mut AccessBatch) -> Result<(), ImportError> {
     let ip = u64_at(record, 0);
     for (at, field) in [(8usize, "is_branch"), (9, "branch_taken")] {
         if record[at] > 1 {
@@ -84,23 +81,22 @@ fn parse_record(record: &[u8], offset: u64) -> Result<Vec<MemoryAccess>, ImportE
             });
         }
     }
-    let mut accesses = Vec::with_capacity(1 + 6);
-    accesses.push(MemoryAccess::ifetch(Address::new(ip & !7)));
+    out.push(MemoryAccess::ifetch(Address::new(ip & !7)));
     // Loads before stores: a store's operands are read first.
     for slot in 0..4 {
         let addr = u64_at(record, 32 + slot * 8);
         if addr != 0 {
-            accesses.push(MemoryAccess::read(Address::new(addr & !7), 8));
+            out.push(MemoryAccess::read(Address::new(addr & !7), 8));
         }
     }
     for slot in 0..2 {
         let addr = u64_at(record, 16 + slot * 8);
         if addr != 0 {
             let value = splitmix64(offset ^ addr);
-            accesses.push(MemoryAccess::write(Address::new(addr & !7), 8, value));
+            out.push(MemoryAccess::write(Address::new(addr & !7), 8, value));
         }
     }
-    Ok(accesses)
+    Ok(())
 }
 
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
@@ -134,10 +130,9 @@ mod tests {
         bytes.extend_from_slice(&record(0x401004, [0, 0], [0, 0, 0, 0]));
         let parsed = parse_champsim(&bytes, false).expect("parses");
         assert_eq!(parsed.records_in, 2);
-        let kinds: Vec<AccessKind> = parsed.accesses.iter().map(|a| a.kind).collect();
         assert_eq!(
-            kinds,
-            vec![
+            parsed.accesses.kinds(),
+            [
                 AccessKind::InstrFetch,
                 AccessKind::Read,
                 AccessKind::Read,
@@ -145,9 +140,13 @@ mod tests {
                 AccessKind::InstrFetch,
             ]
         );
-        assert_eq!(parsed.accesses[0].addr, Address::new(0x401000));
-        assert_eq!(parsed.accesses[3].addr, Address::new(0x5000));
-        assert_ne!(parsed.accesses[3].value, 0, "writes carry synthesized data");
+        assert_eq!(parsed.accesses.addr(0), Address::new(0x401000));
+        assert_eq!(parsed.accesses.addr(3), Address::new(0x5000));
+        assert_ne!(
+            parsed.accesses.values()[3],
+            0,
+            "writes carry synthesized data"
+        );
     }
 
     #[test]
@@ -156,7 +155,11 @@ mod tests {
         let a = parse_champsim(&bytes, false).expect("parses").accesses;
         let b = parse_champsim(&bytes, false).expect("parses").accesses;
         assert_eq!(a, b);
-        assert_ne!(a[1].value, a[2].value, "different slots, different values");
+        assert_ne!(
+            a.values()[1],
+            a.values()[2],
+            "different slots, different values"
+        );
     }
 
     #[test]

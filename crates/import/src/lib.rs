@@ -38,7 +38,7 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use cnt_sim::trace::{AccessKind, MemoryAccess};
+use cnt_sim::trace::{AccessBatch, AccessKind};
 use cnt_trace::writer::WriteOptions;
 use cnt_trace::{ReadOptions, StreamReader, TraceWriter};
 use serde::{Deserialize, Serialize};
@@ -146,7 +146,7 @@ pub struct ImportReport {
 #[derive(Debug, Default)]
 pub struct ParsedStream {
     /// The demand accesses, in source order.
-    pub accesses: Vec<MemoryAccess>,
+    pub accesses: AccessBatch,
     /// Source records seen (including dropped).
     pub records_in: u64,
     /// Records dropped under lenient mode.
@@ -156,11 +156,6 @@ pub struct ParsedStream {
 }
 
 impl ParsedStream {
-    /// Appends one parsed access.
-    pub fn push(&mut self, access: MemoryAccess) {
-        self.accesses.push(access);
-    }
-
     /// Counts one lenient-mode drop, keeping the first error text.
     pub fn drop_record(&mut self, error: &ImportError) {
         self.dropped += 1;
@@ -237,10 +232,6 @@ pub fn import_bytes(
         return Err(ImportError::Empty);
     }
 
-    cnt_obs::count("import.records", parsed.records_in);
-    cnt_obs::count("import.accesses", parsed.accesses.len() as u64);
-    cnt_obs::count("import.dropped", parsed.dropped);
-
     let mut ctr = Vec::new();
     let mut writer = TraceWriter::with_options(
         &mut ctr,
@@ -256,7 +247,7 @@ pub fn import_bytes(
             AccessKind::Write => writes += 1,
             AccessKind::InstrFetch => ifetches += 1,
         }
-        writer.push(access)?;
+        writer.push(&access)?;
     }
     let summary = writer.finish()?;
 

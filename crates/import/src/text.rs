@@ -46,7 +46,7 @@ pub fn parse_text(bytes: &[u8], lenient: bool) -> Result<ParsedStream, ImportErr
         }
         out.records_in += 1;
         match parse_line(line, line_no) {
-            Ok(access) => out.push(access),
+            Ok(access) => out.accesses.push(access),
             Err(e) if lenient && e.is_droppable() => out.drop_record(&e),
             Err(e) => return Err(e),
         }
@@ -206,15 +206,21 @@ mod tests {
         assert_eq!(parsed.accesses.len(), 4);
         assert_eq!(parsed.dropped, 0);
         let a = &parsed.accesses;
-        assert_eq!(a[0], MemoryAccess::read(Address::new(0x7f2a_0040_1000), 8));
         assert_eq!(
-            a[1],
+            a.get(0),
+            MemoryAccess::read(Address::new(0x7f2a_0040_1000), 8)
+        );
+        assert_eq!(
+            a.get(1),
             MemoryAccess::write(Address::new(0x7f2a_0050_0040), 8, 0xdead_beef)
         );
-        assert_eq!(a[2].kind, AccessKind::InstrFetch);
-        assert_eq!(a[3].kind, AccessKind::Write);
-        assert_eq!(a[3].width, 4);
-        assert!(a[3].value <= u64::from(u32::MAX), "value masked to width");
+        assert_eq!(a.kind(2), AccessKind::InstrFetch);
+        assert_eq!(a.kind(3), AccessKind::Write);
+        assert_eq!(a.width(3), 4);
+        assert!(
+            a.values()[3] <= u64::from(u32::MAX),
+            "value masked to width"
+        );
     }
 
     #[test]
@@ -223,14 +229,15 @@ mod tests {
         let a = parse_text(text, false).expect("parses").accesses;
         let b = parse_text(text, false).expect("parses").accesses;
         assert_eq!(a, b);
-        assert_ne!(a[0].value, a[2].value, "different lines, different values");
-        assert_ne!(a[0].value, a[1].value, "line number feeds the hash");
+        let v = a.values();
+        assert_ne!(v[0], v[2], "different lines, different values");
+        assert_ne!(v[0], v[1], "line number feeds the hash");
     }
 
     #[test]
     fn unaligned_addresses_are_aligned_down() {
         let parsed = parse_text(b"R 0x1003 4\n", false).expect("parses");
-        assert_eq!(parsed.accesses[0].addr, Address::new(0x1000));
+        assert_eq!(parsed.accesses.addr(0), Address::new(0x1000));
     }
 
     #[test]

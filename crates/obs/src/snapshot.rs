@@ -17,7 +17,7 @@ use cnt_cache::{
 };
 use cnt_encoding::FifoStats;
 use cnt_energy::{ChargeKind, EnergyBreakdown};
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::{AccessError, CacheStats};
 
 use crate::{scope, sink};
@@ -379,7 +379,10 @@ where
 /// # Errors
 ///
 /// Propagates [`AccessError`] from the underlying replay.
-pub fn replay_hierarchy(hierarchy: &mut CntHierarchy, trace: &Trace) -> Result<usize, AccessError> {
+pub fn replay_hierarchy(
+    hierarchy: &mut CntHierarchy,
+    trace: &AccessBatch,
+) -> Result<usize, AccessError> {
     observe(
         hierarchy,
         "obs.hierarchy_replays_observed",

@@ -7,7 +7,7 @@
 
 use cnt_cache::{CntCache, CntCacheConfig, CntHierarchy, CntHierarchyConfig, EncodingPolicy};
 use cnt_obs::{install_local, validate_jsonl, Snapshot};
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::Address;
 
 fn small_cache() -> CntCache {
@@ -22,8 +22,8 @@ fn small_cache() -> CntCache {
     CntCache::new(config).expect("valid config")
 }
 
-fn trace_of(n: u64) -> Trace {
-    let mut trace = Trace::new();
+fn trace_of(n: u64) -> AccessBatch {
+    let mut trace = AccessBatch::new();
     for i in 0..n {
         let addr = Address::new((i % 512) * 8);
         if i % 4 == 0 {

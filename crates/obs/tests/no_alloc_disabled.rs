@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy};
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::Address;
 
 struct CountingAllocator;
@@ -38,8 +38,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Same deterministic mixed trace as the core no-alloc test.
-fn hot_trace() -> Trace {
-    let mut trace = Trace::new();
+fn hot_trace() -> AccessBatch {
+    let mut trace = AccessBatch::new();
     let mut state = 0x2E60_1234_5678_9ABCu64;
     for i in 0..60_000u64 {
         state ^= state << 13;

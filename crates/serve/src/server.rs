@@ -628,7 +628,7 @@ fn materialize_workload(id: &str, trace_dir: Option<&Path>, path: &Path) -> Resu
     let workload = entry.load().map_err(|e| e.to_string())?;
     let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
     let mut out = std::io::BufWriter::new(file);
-    cnt_trace::pack_trace(&workload.trace, &mut out, cnt_trace::DEFAULT_CHUNK_ACCESSES)
+    cnt_trace::pack_accesses(&workload.trace, &mut out, cnt_trace::DEFAULT_CHUNK_ACCESSES)
         .map_err(|e| e.to_string())?;
     use std::io::Write;
     out.flush().map_err(|e| e.to_string())?;

@@ -575,7 +575,7 @@ fn registry_named_sessions_replay_byte_identically_to_streamed_traces() {
     );
 
     // A synthetic registry workload: the server materializes the same
-    // bytes a local `pack_trace` produces, so streaming the local pack
+    // bytes a local `pack_accesses` produces, so streaming the local pack
     // and naming the workload must give byte-identical metrics.
     let entry_trace = scratch.path("dct.ctr");
     {
@@ -584,7 +584,7 @@ fn registry_named_sessions_replay_byte_identically_to_streamed_traces() {
         assert_eq!(selected.len(), 1);
         let workload = selected[0].load().expect("synthetic load");
         let file = std::fs::File::create(&entry_trace).expect("trace file");
-        cnt_trace::pack_trace(
+        cnt_trace::pack_accesses(
             &workload.trace,
             std::io::BufWriter::new(file),
             cnt_trace::DEFAULT_CHUNK_ACCESSES,

@@ -5,6 +5,8 @@
 //! directly (see the `cnt-cache` crate), so hierarchy traffic here is not
 //! observed for energy.
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{AccessError, Cache, CacheLevel};
@@ -138,13 +140,14 @@ impl CacheHierarchy {
     /// # Errors
     ///
     /// Stops at and returns the first [`AccessError`].
-    pub fn run<'a, I>(&mut self, trace: I) -> Result<usize, AccessError>
+    pub fn run<I>(&mut self, trace: I) -> Result<usize, AccessError>
     where
-        I: IntoIterator<Item = &'a MemoryAccess>,
+        I: IntoIterator,
+        I::Item: Borrow<MemoryAccess>,
     {
         let mut n = 0;
         for access in trace {
-            self.access(access)?;
+            self.access(access.borrow())?;
             n += 1;
         }
         Ok(n)

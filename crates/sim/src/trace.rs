@@ -1,12 +1,15 @@
 //! Memory-access traces: the interchange format between the workload crate
-//! and the cache layers.
+//! and the cache layers. [`MemoryAccess`] is one record; [`AccessBatch`]
+//! is the one in-memory trace, held column by column.
 
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
+use std::iter::Zip;
+use std::slice;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::addr::Address;
 
@@ -147,188 +150,16 @@ impl fmt::Display for MemoryAccess {
     }
 }
 
-/// An ordered sequence of accesses plus summary helpers.
+/// An ordered sequence of accesses, held struct-of-arrays: kinds,
+/// addresses, widths, and write values live in separate contiguous
+/// buffers, one flat array per field.
 ///
-/// # Example
-///
-/// ```
-/// use cnt_sim::trace::{MemoryAccess, Trace};
-/// use cnt_sim::Address;
-///
-/// let mut trace = Trace::new();
-/// trace.push(MemoryAccess::write(Address::new(0x10), 8, 7));
-/// trace.push(MemoryAccess::read(Address::new(0x10), 8));
-/// assert_eq!(trace.len(), 2);
-/// assert!((trace.write_fraction() - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Trace {
-    accesses: Vec<MemoryAccess>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// Appends one access.
-    pub fn push(&mut self, access: MemoryAccess) {
-        self.accesses.push(access);
-    }
-
-    /// Number of accesses.
-    pub fn len(&self) -> usize {
-        self.accesses.len()
-    }
-
-    /// `true` if the trace has no accesses.
-    pub fn is_empty(&self) -> bool {
-        self.accesses.is_empty()
-    }
-
-    /// Iterates over the accesses in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, MemoryAccess> {
-        self.accesses.iter()
-    }
-
-    /// The accesses as a slice.
-    pub fn as_slice(&self) -> &[MemoryAccess] {
-        &self.accesses
-    }
-
-    /// Fraction of accesses that are writes (`NaN` if empty).
-    pub fn write_fraction(&self) -> f64 {
-        let writes = self.accesses.iter().filter(|a| a.is_write()).count();
-        writes as f64 / self.accesses.len() as f64
-    }
-
-    /// Number of distinct 64-byte-aligned blocks touched.
-    pub fn footprint_blocks(&self) -> usize {
-        let blocks: BTreeSet<u64> = self
-            .accesses
-            .iter()
-            .map(|a| a.addr.align_down(64).value())
-            .collect();
-        blocks.len()
-    }
-
-    /// Serializes to the line-oriented text format:
-    /// `KIND ADDR WIDTH [VALUE]` per access, hex addresses/values,
-    /// `#`-prefixed comment lines. The Dinero-style interchange format
-    /// for feeding external traces into the simulator.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use cnt_sim::trace::{MemoryAccess, Trace};
-    /// use cnt_sim::Address;
-    ///
-    /// let mut trace = Trace::new();
-    /// trace.push(MemoryAccess::write(Address::new(0x40), 8, 0xFF));
-    /// trace.push(MemoryAccess::read(Address::new(0x40), 4));
-    /// let text = trace.to_text();
-    /// let back: Trace = text.parse()?;
-    /// assert_eq!(back, trace);
-    /// # Ok::<(), cnt_sim::trace::ParseTraceError>(())
-    /// ```
-    pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(self.accesses.len() * 24);
-        out.push_str("# KIND ADDR WIDTH [VALUE]\n");
-        for a in &self.accesses {
-            match a.kind {
-                AccessKind::Write => {
-                    out.push_str(&format!("W {:#x} {} {:#x}\n", a.addr, a.width, a.value));
-                }
-                AccessKind::Read => {
-                    out.push_str(&format!("R {:#x} {}\n", a.addr, a.width));
-                }
-                AccessKind::InstrFetch => {
-                    out.push_str(&format!("I {:#x} {}\n", a.addr, a.width));
-                }
-            }
-        }
-        out
-    }
-}
-
-fn parse_u64(token: &str, line: usize, field: &'static str) -> Result<u64, ParseTraceError> {
-    let digits = token
-        .strip_prefix("0x")
-        .or_else(|| token.strip_prefix("0X"));
-    let result = match digits {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => token.parse(),
-    };
-    result.map_err(|_| ParseTraceError::BadNumber {
-        line,
-        field,
-        token: token.to_string(),
-    })
-}
-
-impl FromStr for Trace {
-    type Err = ParseTraceError;
-
-    /// Parses the text format produced by [`Trace::to_text`]: one access
-    /// per line, blank lines and `#` comments ignored.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut trace = Trace::new();
-        for (index, raw) in s.lines().enumerate() {
-            let line = index + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = content.split_whitespace().collect();
-            if !(2..=4).contains(&fields.len()) {
-                return Err(ParseTraceError::BadFieldCount {
-                    line,
-                    fields: fields.len(),
-                });
-            }
-            let addr = Address::new(parse_u64(fields[1], line, "addr")?);
-            let width = if fields.len() >= 3 {
-                parse_u64(fields[2], line, "width")? as u8
-            } else {
-                8
-            };
-            match fields[0] {
-                "R" | "r" => trace.push(MemoryAccess::read(addr, width)),
-                "I" | "i" => trace.push(MemoryAccess {
-                    kind: AccessKind::InstrFetch,
-                    addr,
-                    width,
-                    value: 0,
-                }),
-                "W" | "w" => {
-                    let value = if fields.len() == 4 {
-                        parse_u64(fields[3], line, "value")?
-                    } else {
-                        0
-                    };
-                    trace.push(MemoryAccess::write(addr, width, value));
-                }
-                other => {
-                    return Err(ParseTraceError::BadKind {
-                        line,
-                        token: other.to_string(),
-                    })
-                }
-            }
-        }
-        Ok(trace)
-    }
-}
-
-/// A struct-of-arrays batch of accesses: kinds, addresses, widths, and
-/// write values live in separate contiguous buffers.
-///
-/// The replay hot path streams through these columns without the
-/// pointer-chasing and per-record padding of a `Vec<MemoryAccess>`;
-/// trace decoders append into a reused batch without allocating per
-/// record. Values are dense (reads hold `0`), so every column is indexed
-/// by the same record number.
+/// This is the one in-memory trace. Workloads record into it, the `.ctr`
+/// decoders append into a reused batch without allocating per record,
+/// and every replay streams through its columns without the per-record
+/// padding of a `Vec<MemoryAccess>` (18 B per record instead of 24).
+/// Values are dense (reads hold `0`), so every column is indexed by the
+/// same record number. Iteration rebuilds each [`MemoryAccess`] by value.
 ///
 /// # Example
 ///
@@ -342,6 +173,7 @@ impl FromStr for Trace {
 /// assert_eq!(batch.len(), 2);
 /// assert_eq!(batch.get(0), MemoryAccess::write(Address::new(0x40), 8, 7));
 /// assert_eq!(batch.write_value(1), None);
+/// assert!((batch.write_fraction() - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AccessBatch {
@@ -367,13 +199,16 @@ impl AccessBatch {
         }
     }
 
-    /// Columnar copy of a whole trace.
-    pub fn from_trace(trace: &Trace) -> Self {
-        let mut batch = AccessBatch::with_capacity(trace.len());
-        for access in trace {
-            batch.push(*access);
-        }
-        batch
+    /// A copy of `trace`. Kept only because the benchmark harness
+    /// (`cntbench/src/paper.rs`) calls it.
+    pub fn from_trace(trace: &AccessBatch) -> Self {
+        trace.clone()
+    }
+
+    /// A copy of `self`. Kept only because the benchmark harness
+    /// (`cntbench/src/write_heavy.rs`) calls it.
+    pub fn to_trace(&self) -> AccessBatch {
+        self.clone()
     }
 
     /// Records in the batch.
@@ -403,11 +238,13 @@ impl AccessBatch {
     }
 
     /// Appends one access.
+    #[inline]
     pub fn push(&mut self, access: MemoryAccess) {
         self.push_parts(access.kind, access.addr, access.width, access.value);
     }
 
     /// Appends one access from its columns.
+    #[inline]
     pub fn push_parts(&mut self, kind: AccessKind, addr: Address, width: u8, value: u64) {
         self.kinds.push(kind);
         self.addrs.push(addr.value());
@@ -475,65 +312,226 @@ impl AccessBatch {
     }
 
     /// Iterates the records in order, materializing each on the fly.
-    pub fn iter(&self) -> impl Iterator<Item = MemoryAccess> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(
+            self.kinds
+                .iter()
+                .zip(&self.addrs)
+                .zip(&self.widths)
+                .zip(&self.values),
+        )
     }
 
-    /// Rebuilds the array-of-structs form.
-    pub fn to_trace(&self) -> Trace {
-        self.iter().collect()
+    /// Fraction of accesses that are writes (`NaN` if empty).
+    pub fn write_fraction(&self) -> f64 {
+        let writes = self
+            .kinds
+            .iter()
+            .filter(|&&k| k == AccessKind::Write)
+            .count();
+        writes as f64 / self.len() as f64
+    }
+
+    /// Number of distinct 64-byte-aligned blocks touched.
+    pub fn footprint_blocks(&self) -> usize {
+        let blocks: BTreeSet<u64> = self
+            .addrs
+            .iter()
+            .map(|&a| Address::new(a).align_down(64).value())
+            .collect();
+        blocks.len()
+    }
+
+    /// Serializes to the line-oriented text format:
+    /// `KIND ADDR WIDTH [VALUE]` per access, hex addresses/values,
+    /// `#`-prefixed comment lines. The Dinero-style interchange format
+    /// for feeding external traces into the simulator.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cnt_sim::trace::{AccessBatch, MemoryAccess};
+    /// use cnt_sim::Address;
+    ///
+    /// let mut trace = AccessBatch::new();
+    /// trace.push(MemoryAccess::write(Address::new(0x40), 8, 0xFF));
+    /// trace.push(MemoryAccess::read(Address::new(0x40), 4));
+    /// let text = trace.to_text();
+    /// let back: AccessBatch = text.parse()?;
+    /// assert_eq!(back, trace);
+    /// # Ok::<(), cnt_sim::trace::ParseTraceError>(())
+    /// ```
+    pub fn to_text(&self) -> String {
+        let mut out = String::with_capacity(self.len() * 24);
+        out.push_str("# KIND ADDR WIDTH [VALUE]\n");
+        for a in self {
+            match a.kind {
+                AccessKind::Write => {
+                    out.push_str(&format!("W {:#x} {} {:#x}\n", a.addr, a.width, a.value));
+                }
+                AccessKind::Read => {
+                    out.push_str(&format!("R {:#x} {}\n", a.addr, a.width));
+                }
+                AccessKind::InstrFetch => {
+                    out.push_str(&format!("I {:#x} {}\n", a.addr, a.width));
+                }
+            }
+        }
+        out
+    }
+}
+
+type Columns<'a> = Zip<
+    Zip<Zip<slice::Iter<'a, AccessKind>, slice::Iter<'a, u64>>, slice::Iter<'a, u8>>,
+    slice::Iter<'a, u64>,
+>;
+
+/// The by-value record iterator of an [`AccessBatch`]: the four column
+/// slices walked in lockstep, with no per-record bounds checks.
+#[derive(Debug, Clone)]
+pub struct Iter<'a>(Columns<'a>);
+
+impl Iterator for Iter<'_> {
+    type Item = MemoryAccess;
+
+    #[inline]
+    fn next(&mut self) -> Option<MemoryAccess> {
+        let (((&kind, &addr), &width), &value) = self.0.next()?;
+        Some(MemoryAccess {
+            kind,
+            addr: Address::new(addr),
+            width,
+            value,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a AccessBatch {
+    type Item = MemoryAccess;
+    type IntoIter = Iter<'a>;
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
 impl FromIterator<MemoryAccess> for AccessBatch {
     fn from_iter<I: IntoIterator<Item = MemoryAccess>>(iter: I) -> Self {
         let mut batch = AccessBatch::new();
-        for access in iter {
-            batch.push(access);
-        }
+        batch.extend(iter);
         batch
     }
 }
 
-impl From<&Trace> for AccessBatch {
-    fn from(trace: &Trace) -> Self {
-        AccessBatch::from_trace(trace)
-    }
-}
-
-impl FromIterator<MemoryAccess> for Trace {
-    fn from_iter<I: IntoIterator<Item = MemoryAccess>>(iter: I) -> Self {
-        Trace {
-            accesses: iter.into_iter().collect(),
+impl Extend<MemoryAccess> for AccessBatch {
+    fn extend<I: IntoIterator<Item = MemoryAccess>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        self.reserve(iter.size_hint().0);
+        for access in iter {
+            self.push(access);
         }
     }
 }
 
-impl Extend<MemoryAccess> for Trace {
-    fn extend<I: IntoIterator<Item = MemoryAccess>>(&mut self, iter: I) {
-        self.accesses.extend(iter);
+/// The JSON form is `{"accesses":[…]}`, one object per record.
+impl Serialize for AccessBatch {
+    fn to_value(&self) -> Value {
+        let accesses = self.iter().map(|a| a.to_value()).collect();
+        Value::Map(vec![("accesses".to_string(), Value::Seq(accesses))])
     }
 }
 
-impl IntoIterator for Trace {
-    type Item = MemoryAccess;
-    type IntoIter = std::vec::IntoIter<MemoryAccess>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.accesses.into_iter()
+impl Deserialize for AccessBatch {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let accesses = serde::struct_field(v, "accesses", "AccessBatch")?;
+        Ok(Vec::<MemoryAccess>::from_value(accesses)?
+            .into_iter()
+            .collect())
     }
 }
 
-impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a MemoryAccess;
-    type IntoIter = std::slice::Iter<'a, MemoryAccess>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.accesses.iter()
+fn parse_u64(token: &str, line: usize, field: &'static str) -> Result<u64, ParseTraceError> {
+    let digits = token
+        .strip_prefix("0x")
+        .or_else(|| token.strip_prefix("0X"));
+    let result = match digits {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => token.parse(),
+    };
+    result.map_err(|_| ParseTraceError::BadNumber {
+        line,
+        field,
+        token: token.to_string(),
+    })
+}
+
+impl FromStr for AccessBatch {
+    type Err = ParseTraceError;
+
+    /// Parses the text format produced by [`AccessBatch::to_text`]: one
+    /// access per line, blank lines and `#` comments ignored.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let mut trace = AccessBatch::new();
+        for (index, raw) in s.lines().enumerate() {
+            let line = index + 1;
+            let content = raw.split('#').next().unwrap_or("").trim();
+            if content.is_empty() {
+                continue;
+            }
+            let fields: Vec<&str> = content.split_whitespace().collect();
+            if !(2..=4).contains(&fields.len()) {
+                return Err(ParseTraceError::BadFieldCount {
+                    line,
+                    fields: fields.len(),
+                });
+            }
+            let addr = Address::new(parse_u64(fields[1], line, "addr")?);
+            let width = if fields.len() >= 3 {
+                parse_u64(fields[2], line, "width")? as u8
+            } else {
+                8
+            };
+            match fields[0] {
+                "R" | "r" => trace.push(MemoryAccess::read(addr, width)),
+                "I" | "i" => trace.push_parts(AccessKind::InstrFetch, addr, width, 0),
+                "W" | "w" => {
+                    let value = if fields.len() == 4 {
+                        parse_u64(fields[3], line, "value")?
+                    } else {
+                        0
+                    };
+                    trace.push(MemoryAccess::write(addr, width, value));
+                }
+                other => {
+                    return Err(ParseTraceError::BadKind {
+                        line,
+                        token: other.to_string(),
+                    })
+                }
+            }
+        }
+        Ok(trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sample() -> AccessBatch {
+        [
+            MemoryAccess::read(Address::new(0x100), 8),
+            MemoryAccess::write(Address::new(0x108), 4, 0xAB),
+            MemoryAccess::ifetch(Address::new(0x40)),
+        ]
+        .into_iter()
+        .collect()
+    }
 
     #[test]
     fn constructors_set_kind() {
@@ -550,7 +548,7 @@ mod tests {
 
     #[test]
     fn trace_metrics() {
-        let trace: Trace = [
+        let trace: AccessBatch = [
             MemoryAccess::read(Address::new(0), 8),
             MemoryAccess::write(Address::new(64), 8, 1),
             MemoryAccess::read(Address::new(65 * 64), 8),
@@ -565,13 +563,13 @@ mod tests {
 
     #[test]
     fn extend_and_iterate() {
-        let mut trace = Trace::new();
+        let mut trace = AccessBatch::new();
         assert!(trace.is_empty());
         trace.extend([MemoryAccess::read(Address::new(0), 8)]);
-        assert_eq!(trace.iter().count(), 1);
-        assert_eq!((&trace).into_iter().count(), 1);
-        assert_eq!(trace.clone().into_iter().count(), 1);
-        assert_eq!(trace.as_slice().len(), 1);
+        trace.extend(sample().iter());
+        assert_eq!(trace.iter().len(), 4);
+        assert_eq!((&trace).into_iter().count(), 4);
+        assert_eq!(trace.iter().skip(1).collect::<AccessBatch>(), sample());
     }
 
     #[test]
@@ -584,38 +582,32 @@ mod tests {
 
     #[test]
     fn text_format_round_trips() {
-        let trace: Trace = [
-            MemoryAccess::write(Address::new(0x40), 8, 0xDEAD_BEEF),
-            MemoryAccess::read(Address::new(0x48), 4),
-            MemoryAccess::ifetch(Address::new(0x1000)),
-            MemoryAccess::write(Address::new(0x50), 1, 0xFF),
-        ]
-        .into_iter()
-        .collect();
+        let mut trace = sample();
+        trace.push(MemoryAccess::write(Address::new(0x50), 1, 0xFF));
         let text = trace.to_text();
-        let back: Trace = text.parse().expect("round trip");
+        let back: AccessBatch = text.parse().expect("round trip");
         assert_eq!(back, trace);
     }
 
     #[test]
     fn text_parser_accepts_comments_and_flexible_forms() {
         let text = "# header\n\nR 0x100 8 # trailing comment\nw 256 4 42\nI 0x40\n";
-        let trace: Trace = text.parse().expect("valid");
+        let trace: AccessBatch = text.parse().expect("valid");
         assert_eq!(trace.len(), 3);
-        assert_eq!(trace.as_slice()[0].addr, Address::new(0x100));
-        assert_eq!(trace.as_slice()[1].value, 42);
-        assert_eq!(trace.as_slice()[1].addr, Address::new(256));
-        assert_eq!(trace.as_slice()[2].width, 8, "width defaults to 8");
+        assert_eq!(trace.addr(0), Address::new(0x100));
+        assert_eq!(trace.write_value(1), Some(42));
+        assert_eq!(trace.addr(1), Address::new(256));
+        assert_eq!(trace.width(2), 8, "width defaults to 8");
     }
 
     #[test]
     fn text_parser_reports_errors_with_line_numbers() {
-        let err = "R 0x10 8\nX 0x20 8\n".parse::<Trace>().unwrap_err();
+        let err = "R 0x10 8\nX 0x20 8\n".parse::<AccessBatch>().unwrap_err();
         assert!(
             matches!(err, ParseTraceError::BadKind { line: 2, .. }),
             "{err}"
         );
-        let err = "R zzz 8\n".parse::<Trace>().unwrap_err();
+        let err = "R zzz 8\n".parse::<AccessBatch>().unwrap_err();
         assert!(matches!(
             err,
             ParseTraceError::BadNumber {
@@ -624,29 +616,26 @@ mod tests {
                 ..
             }
         ));
-        let err = "R\n".parse::<Trace>().unwrap_err();
+        let err = "R\n".parse::<AccessBatch>().unwrap_err();
         assert!(matches!(
             err,
             ParseTraceError::BadFieldCount { line: 1, fields: 1 }
         ));
-        let err = "W 0x10 8 1 extra\n".parse::<Trace>().unwrap_err();
+        let err = "W 0x10 8 1 extra\n".parse::<AccessBatch>().unwrap_err();
         assert!(matches!(err, ParseTraceError::BadFieldCount { .. }));
     }
 
     #[test]
     fn batch_round_trips_and_exposes_columns() {
-        let trace: Trace = [
+        let records = [
             MemoryAccess::read(Address::new(0x100), 8),
             MemoryAccess::write(Address::new(0x108), 4, 0xAB),
             MemoryAccess::ifetch(Address::new(0x40)),
-        ]
-        .into_iter()
-        .collect();
-        let batch = AccessBatch::from_trace(&trace);
+        ];
+        let batch = sample();
         assert_eq!(batch.len(), 3);
         assert!(!batch.is_empty());
-        assert_eq!(batch.to_trace(), trace);
-        for (i, access) in trace.iter().enumerate() {
+        for (i, access) in records.iter().enumerate() {
             assert_eq!(batch.get(i), *access);
             assert_eq!(batch.kind(i), access.kind);
             assert_eq!(batch.addr(i), access.addr);
@@ -659,11 +648,9 @@ mod tests {
         assert_eq!(batch.widths(), &[8, 4, 8]);
         assert_eq!(batch.values(), &[0, 0xAB, 0]);
         assert_eq!(batch.kinds().len(), 3);
-        assert_eq!(batch.iter().collect::<Vec<_>>(), trace.as_slice());
-
-        let collected: AccessBatch = trace.iter().copied().collect();
-        assert_eq!(collected, batch);
-        assert_eq!(AccessBatch::from(&trace), batch);
+        assert_eq!(batch.iter().collect::<Vec<_>>(), records);
+        assert_eq!(AccessBatch::from_trace(&batch), batch);
+        assert_eq!(batch.to_trace(), batch);
     }
 
     #[test]
@@ -678,14 +665,18 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let trace: Trace = [
-            MemoryAccess::write(Address::new(0x8), 8, 42),
-            MemoryAccess::ifetch(Address::new(0x100)),
-        ]
-        .into_iter()
-        .collect();
+        let trace = sample();
         let json = serde_json::to_string(&trace).expect("serialize");
-        let back: Trace = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"accesses":[{"kind":"Read","addr":256,"width":8,"value":0},"#,
+                r#"{"kind":"Write","addr":264,"width":4,"value":171},"#,
+                r#"{"kind":"InstrFetch","addr":64,"width":8,"value":0}]}"#
+            ),
+            "the JSON trace layout is an interchange format"
+        );
+        let back: AccessBatch = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(trace, back);
     }
 }

@@ -161,8 +161,8 @@ proptest! {
     /// The text trace format round-trips arbitrary traces.
     #[test]
     fn trace_text_round_trips(ops in prop::collection::vec(arb_op(), 0..200)) {
-        use cnt_sim::trace::{MemoryAccess, Trace};
-        let trace: Trace = ops
+        use cnt_sim::trace::{AccessBatch, MemoryAccess};
+        let trace: AccessBatch = ops
             .iter()
             .map(|op| match *op {
                 Op::Read { addr, width } => MemoryAccess::read(Address::new(addr), width),
@@ -173,7 +173,7 @@ proptest! {
             })
             .collect();
         let text = trace.to_text();
-        let back: Trace = text.parse().expect("parseable");
+        let back: AccessBatch = text.parse().expect("parseable");
         prop_assert_eq!(back, trace);
     }
 

@@ -152,7 +152,10 @@ pub fn encode_access(access: &MemoryAccess, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes an entire chunk payload into access records.
+/// Decodes an entire chunk payload into a reusable struct-of-arrays
+/// batch. The batch is cleared first, then every record's columns are
+/// appended directly, so a replay loop can stream chunk after chunk
+/// through one set of buffers.
 ///
 /// `chunk` is only used for error reporting; `expected` is the frame's
 /// access count and must match exactly.
@@ -161,29 +164,8 @@ pub fn encode_access(access: &MemoryAccess, out: &mut Vec<u8>) {
 ///
 /// [`TraceError::BadRecord`] when the payload is malformed — an unknown
 /// kind byte, a record running past the payload end, trailing bytes, or
-/// a record count that disagrees with the frame.
-pub fn decode_payload(
-    payload: &[u8],
-    expected: u32,
-    chunk: u64,
-) -> Result<Vec<MemoryAccess>, TraceError> {
-    let mut batch = AccessBatch::with_capacity(expected as usize);
-    decode_payload_into(payload, expected, chunk, &mut batch)?;
-    Ok(batch.iter().collect())
-}
-
-/// Decodes an entire chunk payload into a reusable struct-of-arrays
-/// batch. The batch is cleared first, then every record's columns are
-/// appended directly — no intermediate `MemoryAccess` vector, so a
-/// replay loop can stream chunk after chunk through one set of buffers.
-///
-/// `chunk` is only used for error reporting; `expected` is the frame's
-/// access count and must match exactly.
-///
-/// # Errors
-///
-/// As [`decode_payload`]. On error the batch contents are unspecified
-/// (but always internally consistent).
+/// a record count that disagrees with the frame. On error the batch
+/// contents are unspecified (but always internally consistent).
 pub fn decode_payload_into(
     payload: &[u8],
     expected: u32,
@@ -315,6 +297,11 @@ mod tests {
         assert!(!plain.compressed());
     }
 
+    fn decode(payload: &[u8], expected: u32, chunk: u64) -> Result<AccessBatch, TraceError> {
+        let mut batch = AccessBatch::new();
+        decode_payload_into(payload, expected, chunk, &mut batch).map(|()| batch)
+    }
+
     #[test]
     fn records_round_trip() {
         let accesses = vec![
@@ -328,8 +315,8 @@ mod tests {
             encode_access(a, &mut payload);
         }
         assert_eq!(payload.len(), 10 + 18 + 10 + 18);
-        let back = decode_payload(&payload, accesses.len() as u32, 0).expect("decodes");
-        assert_eq!(back, accesses);
+        let back = decode(&payload, accesses.len() as u32, 0).expect("decodes");
+        assert_eq!(back.iter().collect::<Vec<_>>(), accesses);
     }
 
     #[test]
@@ -338,16 +325,16 @@ mod tests {
         encode_access(&MemoryAccess::read(Address::new(8), 8), &mut payload);
         // Wrong count.
         assert!(matches!(
-            decode_payload(&payload, 2, 7),
+            decode(&payload, 2, 7),
             Err(TraceError::BadRecord { chunk: 7, .. })
         ));
         // Truncated record.
-        assert!(decode_payload(&payload[..5], 1, 0).is_err());
+        assert!(decode(&payload[..5], 1, 0).is_err());
         // Unknown kind byte.
         let mut bad = payload.clone();
         bad[0] = 9;
         assert!(matches!(
-            decode_payload(&bad, 1, 0),
+            decode(&bad, 1, 0),
             Err(TraceError::BadRecord {
                 what: "unknown access kind byte",
                 ..
@@ -356,6 +343,6 @@ mod tests {
         // Truncated write.
         let mut w = Vec::new();
         encode_access(&MemoryAccess::write(Address::new(8), 8, 1), &mut w);
-        assert!(decode_payload(&w[..12], 1, 0).is_err());
+        assert!(decode(&w[..12], 1, 0).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! # cnt-trace — streaming trace ingestion for multi-GB workload replay
 //!
-//! The in-memory [`cnt_sim::trace::Trace`] caps replay at RAM-sized
+//! The in-memory [`cnt_sim::trace::AccessBatch`] caps replay at RAM-sized
 //! workloads. This crate adds the I/O layer between workload generation
 //! and simulation: a chunked, length-prefixed binary trace format
 //! (`.ctr`) plus a bounded-memory streaming reader, so the adaptive
@@ -58,6 +58,6 @@ pub use reader::{
 };
 pub use rotate::CheckpointRotator;
 pub use writer::{
-    pack_accesses, pack_accesses_with, pack_trace, pack_trace_with, PackSummary, TraceWriter,
-    WriteOptions, DEFAULT_CHUNK_ACCESSES,
+    pack_accesses, pack_accesses_with, PackSummary, TraceWriter, WriteOptions,
+    DEFAULT_CHUNK_ACCESSES,
 };

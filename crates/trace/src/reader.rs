@@ -27,14 +27,12 @@
 
 use std::io::{Read, Seek, SeekFrom};
 
-use cnt_sim::trace::{AccessBatch, MemoryAccess, Trace};
+use cnt_sim::trace::AccessBatch;
 
 use crate::checkpoint::{fnv1a, fnv1a_extend};
 use crate::crc32;
 use crate::error::TraceError;
-use crate::format::{
-    decode_payload, decode_payload_into, Frame, Header, FRAME_BYTES, HEADER_BYTES,
-};
+use crate::format::{decode_payload_into, Frame, Header, FRAME_BYTES, HEADER_BYTES};
 
 /// What to do when a chunk's CRC32 (or payload shape) is wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,21 +95,11 @@ pub struct RawChunk {
 }
 
 impl RawChunk {
-    /// Decodes the payload into access records.
+    /// Decodes the payload into a reusable struct-of-arrays batch (see
+    /// [`decode_payload_into`]). The batch is cleared first.
     ///
     /// This is intentionally separate from reading so callers can fan
     /// decode work out across worker threads while I/O stays sequential.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::BadRecord`] for malformed payloads.
-    pub fn decode(&self) -> Result<Vec<MemoryAccess>, TraceError> {
-        decode_payload(&self.payload, self.access_count, self.index)
-    }
-
-    /// Decodes the payload into a reusable struct-of-arrays batch (the
-    /// replay hot path — see [`decode_payload_into`]). The batch is
-    /// cleared first.
     ///
     /// # Errors
     ///
@@ -375,13 +363,14 @@ impl<R: Read> StreamReader<R> {
     ///
     /// As [`next_raw_within`](Self::next_raw_within), plus
     /// [`TraceError::BadRecord`] under [`CorruptionPolicy::FailFast`].
-    pub fn next_chunk(&mut self) -> Result<Option<(u64, Vec<MemoryAccess>)>, TraceError> {
+    pub fn next_chunk(&mut self) -> Result<Option<(u64, AccessBatch)>, TraceError> {
+        let mut batch = AccessBatch::new();
         loop {
             let Some(raw) = self.next_raw()? else {
                 return Ok(None);
             };
-            match raw.decode() {
-                Ok(accesses) => return Ok(Some((raw.index, accesses))),
+            match raw.decode_batch(&mut batch) {
+                Ok(()) => return Ok(Some((raw.index, batch))),
                 Err(e) => {
                     self.stats.decode_failures += 1;
                     match self.opts.corruption {
@@ -476,17 +465,17 @@ impl<R: Read + Seek> StreamReader<R> {
     }
 }
 
-/// Reads a whole `.ctr` stream into an in-memory [`Trace`] — the
+/// Reads a whole `.ctr` stream into one in-memory [`AccessBatch`] — the
 /// non-streaming convenience for tools and tests.
 ///
 /// # Errors
 ///
 /// As [`StreamReader::next_chunk`].
-pub fn read_trace<R: Read>(src: R, opts: ReadOptions) -> Result<Trace, TraceError> {
+pub fn read_trace<R: Read>(src: R, opts: ReadOptions) -> Result<AccessBatch, TraceError> {
     let mut reader = StreamReader::new(src, opts)?;
-    let mut trace = Trace::new();
-    while let Some((_, accesses)) = reader.next_chunk()? {
-        trace.extend(accesses);
+    let mut trace = AccessBatch::new();
+    while let Some((_, chunk)) = reader.next_chunk()? {
+        trace.extend(&chunk);
     }
     Ok(trace)
 }
@@ -525,10 +514,11 @@ fn read_exact_or<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::pack_trace;
+    use crate::writer::pack_accesses;
+    use cnt_sim::trace::MemoryAccess;
     use cnt_sim::Address;
 
-    fn sample_trace(n: u64) -> Trace {
+    fn sample_trace(n: u64) -> AccessBatch {
         (0..n)
             .map(|i| {
                 if i % 3 == 0 {
@@ -542,7 +532,7 @@ mod tests {
 
     fn packed(n: u64, chunk_accesses: u32) -> Vec<u8> {
         let mut bytes = Vec::new();
-        pack_trace(&sample_trace(n), &mut bytes, chunk_accesses).expect("packs");
+        pack_accesses(&sample_trace(n), &mut bytes, chunk_accesses).expect("packs");
         bytes
     }
 
@@ -698,7 +688,7 @@ mod tests {
         // A re-pack of different content diverges even with identical
         // chunking: the affected chunk's recorded CRC-32 lands in its
         // frame, and the frame feeds the digest.
-        let trace: Trace = (0..40)
+        let trace: AccessBatch = (0..40)
             .map(|i| {
                 if i == 39 {
                     MemoryAccess::write(Address::new(0x1000 + i * 8), 8, 0xdead_beef)
@@ -710,7 +700,7 @@ mod tests {
             })
             .collect();
         let mut other = Vec::new();
-        pack_trace(&trace, &mut other, 5).expect("packs");
+        pack_accesses(&trace, &mut other, 5).expect("packs");
         assert_eq!(other.len(), bytes.len(), "same structure, different bytes");
         let mut c = StreamReader::new(&other[..], ReadOptions::default()).expect("opens");
         while c.next_raw().expect("reads").is_some() {}
@@ -807,7 +797,7 @@ mod tests {
 
     fn packed_compressed(n: u64, chunk_accesses: u32) -> Vec<u8> {
         let mut bytes = Vec::new();
-        crate::writer::pack_trace_with(
+        crate::writer::pack_accesses_with(
             &sample_trace(n),
             &mut bytes,
             crate::writer::WriteOptions {

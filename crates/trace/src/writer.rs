@@ -2,12 +2,13 @@
 //!
 //! [`TraceWriter`] buffers at most one chunk of records before flushing
 //! its frame + payload to the sink, so packing a multi-GB stream needs
-//! only chunk-sized memory. [`pack_accesses`] and [`pack_trace`] are the
-//! convenience one-shots built on it.
+//! only chunk-sized memory. [`pack_accesses`] and [`pack_accesses_with`]
+//! are the convenience one-shots built on it; an in-memory
+//! [`AccessBatch`](cnt_sim::trace::AccessBatch) packs by reference.
 
 use std::io::Write;
 
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::MemoryAccess;
 
 use crate::crc32;
 use crate::error::TraceError;
@@ -196,24 +197,14 @@ where
     I: IntoIterator<Item = MemoryAccess>,
     W: Write,
 {
-    let mut writer = TraceWriter::new(sink, chunk_accesses)?;
-    for access in accesses {
-        writer.push(&access)?;
-    }
-    writer.finish()
-}
-
-/// Packs an in-memory [`Trace`].
-///
-/// # Errors
-///
-/// Propagates sink I/O errors.
-pub fn pack_trace<W: Write>(
-    trace: &Trace,
-    sink: W,
-    chunk_accesses: u32,
-) -> Result<PackSummary, TraceError> {
-    pack_accesses(trace.iter().copied(), sink, chunk_accesses)
+    pack_accesses_with(
+        accesses,
+        sink,
+        WriteOptions {
+            chunk_accesses,
+            ..WriteOptions::default()
+        },
+    )
 }
 
 /// Packs any access stream with explicit [`WriteOptions`].
@@ -237,40 +228,28 @@ where
     writer.finish()
 }
 
-/// Packs an in-memory [`Trace`] with explicit [`WriteOptions`].
-///
-/// # Errors
-///
-/// Propagates sink I/O errors.
-pub fn pack_trace_with<W: Write>(
-    trace: &Trace,
-    sink: W,
-    options: WriteOptions,
-) -> Result<PackSummary, TraceError> {
-    pack_accesses_with(trace.iter().copied(), sink, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::{FRAME_BYTES, HEADER_BYTES};
+    use cnt_sim::trace::AccessBatch;
     use cnt_sim::Address;
 
     #[test]
     fn empty_trace_is_just_a_header() {
         let mut bytes = Vec::new();
-        let summary = pack_trace(&Trace::new(), &mut bytes, 64).expect("packs");
+        let summary = pack_accesses(&AccessBatch::new(), &mut bytes, 64).expect("packs");
         assert_eq!(bytes.len(), HEADER_BYTES);
         assert_eq!(summary, PackSummary::default());
     }
 
     #[test]
     fn chunking_splits_on_target() {
-        let trace: Trace = (0..10)
+        let trace: AccessBatch = (0..10)
             .map(|i| MemoryAccess::read(Address::new(i * 8), 8))
             .collect();
         let mut bytes = Vec::new();
-        let summary = pack_trace(&trace, &mut bytes, 4).expect("packs");
+        let summary = pack_accesses(&trace, &mut bytes, 4).expect("packs");
         assert_eq!(summary.chunks, 3); // 4 + 4 + 2
         assert_eq!(summary.accesses, 10);
         assert_eq!(summary.payload_bytes, 10 * 10);
@@ -284,13 +263,13 @@ mod tests {
     fn compressed_pack_carries_v2_header_and_shrinks() {
         use crate::format::{Header, FLAG_COMPRESSED, VERSION_COMPRESSED};
         // A strided read loop: highly repetitive payload bytes.
-        let trace: Trace = (0..2000)
+        let trace: AccessBatch = (0..2000)
             .map(|i| MemoryAccess::read(Address::new(0x1000 + i * 64), 8))
             .collect();
         let mut plain = Vec::new();
-        pack_trace(&trace, &mut plain, 256).expect("packs");
+        pack_accesses(&trace, &mut plain, 256).expect("packs");
         let mut packed = Vec::new();
-        let summary = pack_trace_with(
+        let summary = pack_accesses_with(
             &trace,
             &mut packed,
             WriteOptions {
@@ -315,11 +294,11 @@ mod tests {
 
     #[test]
     fn zero_chunk_target_is_clamped() {
-        let trace: Trace = (0..3)
+        let trace: AccessBatch = (0..3)
             .map(|i| MemoryAccess::read(Address::new(i * 8), 8))
             .collect();
         let mut bytes = Vec::new();
-        let summary = pack_trace(&trace, &mut bytes, 0).expect("packs");
+        let summary = pack_accesses(&trace, &mut bytes, 0).expect("packs");
         assert_eq!(summary.chunks, 3, "clamped to one access per chunk");
     }
 }

@@ -2,11 +2,11 @@
 //! streaming it back must be the identity, and any damage to the bytes
 //! must be detected, never silently absorbed.
 
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::Address;
 use cnt_trace::format::Frame;
 use cnt_trace::{
-    pack_trace, pack_trace_with, read_trace, CorruptionPolicy, ReadOptions, WriteOptions,
+    pack_accesses, pack_accesses_with, read_trace, CorruptionPolicy, ReadOptions, WriteOptions,
     FRAME_BYTES, HEADER_BYTES,
 };
 use proptest::prelude::*;
@@ -24,13 +24,13 @@ fn arb_access() -> impl Strategy<Value = MemoryAccess> {
     })
 }
 
-fn arb_trace() -> impl Strategy<Value = Trace> {
-    prop::collection::vec(arb_access(), 0..600).prop_map(Trace::from_iter)
+fn arb_trace() -> impl Strategy<Value = AccessBatch> {
+    prop::collection::vec(arb_access(), 0..600).prop_map(AccessBatch::from_iter)
 }
 
-fn packed(trace: &Trace, chunk: u32) -> Vec<u8> {
+fn packed(trace: &AccessBatch, chunk: u32) -> Vec<u8> {
     let mut bytes = Vec::new();
-    pack_trace(trace, &mut bytes, chunk).expect("packing in-memory never fails");
+    pack_accesses(trace, &mut bytes, chunk).expect("packing in-memory never fails");
     bytes
 }
 
@@ -75,8 +75,8 @@ proptest! {
                 // the result must then be a whole-chunks prefix.
                 prop_assert!(prefix.len() <= trace.len());
                 prop_assert_eq!(
-                    prefix.as_slice(),
-                    &trace.as_slice()[..prefix.len()],
+                    prefix,
+                    trace.iter().take(prefix.len()).collect::<AccessBatch>(),
                     "parsed prefix must match the original accesses"
                 );
                 prop_assert_eq!(prefix.len() % chunk as usize, 0);
@@ -98,7 +98,7 @@ proptest! {
     #[test]
     fn compressed_pack_then_read_is_identity(trace in arb_trace(), chunk in 1u32..64) {
         let mut bytes = Vec::new();
-        pack_trace_with(&trace, &mut bytes, WriteOptions { chunk_accesses: chunk, compress: true })
+        pack_accesses_with(&trace, &mut bytes, WriteOptions { chunk_accesses: chunk, compress: true })
             .expect("packing in-memory never fails");
         let back = read_trace(&bytes[..], ReadOptions::default()).expect("intact file reads");
         prop_assert_eq!(back, trace);
@@ -116,7 +116,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let mut bytes = Vec::new();
-        pack_trace_with(&trace, &mut bytes, WriteOptions { chunk_accesses: chunk, compress: true })
+        pack_accesses_with(&trace, &mut bytes, WriteOptions { chunk_accesses: chunk, compress: true })
             .expect("packing in-memory never fails");
         let regions = payload_regions(&bytes);
         prop_assume!(!trace.is_empty());
@@ -167,8 +167,8 @@ proptest! {
         let chunk = chunk as usize;
         let victim_accesses = trace.len().min(victim * chunk + chunk) - victim * chunk;
         prop_assert_eq!(back.len(), trace.len() - victim_accesses);
-        let mut expected: Vec<MemoryAccess> = trace.as_slice()[..victim * chunk].to_vec();
-        expected.extend_from_slice(&trace.as_slice()[(victim * chunk + victim_accesses)..]);
-        prop_assert_eq!(back.as_slice(), &expected[..]);
+        let mut expected: AccessBatch = trace.iter().take(victim * chunk).collect();
+        expected.extend(trace.iter().skip(victim * chunk + victim_accesses));
+        prop_assert_eq!(back, expected);
     }
 }

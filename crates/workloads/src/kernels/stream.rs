@@ -70,8 +70,8 @@ mod tests {
     fn triad_mix_is_two_reads_one_write() {
         let n = 256;
         let w = stream_triad(n, 2, 3);
-        let demand = &w.trace.as_slice()[2 * n..];
-        let writes = demand.iter().filter(|a| a.is_write()).count();
+        let demand = w.trace.iter().skip(2 * n);
+        let writes = demand.clone().filter(|a| a.is_write()).count();
         assert_eq!(writes * 3, demand.len(), "1 write per 2 reads");
     }
 

@@ -85,8 +85,7 @@ mod tests {
         // itself is pure reads.
         let w = string_search(1024, 8, 1);
         assert!(w.trace.write_fraction() < 0.35);
-        let scan = &w.trace.as_slice()[1024 + 8..];
-        assert!(scan.iter().all(|a| !a.is_write()));
+        assert!(w.trace.iter().skip(1024 + 8).all(|a| !a.is_write()));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! simulated D-Cache. Since its traces are not available, this crate
 //! substitutes *instrumented Rust kernels*: each kernel executes a real
 //! algorithm against a [`TracedMemory`], verifying its own output, while
-//! every load and store — with its actual data value — is recorded into a
-//! [`Trace`](cnt_sim::trace::Trace). This preserves the two properties the
-//! adaptive-encoding result depends on: per-line read/write mixes and the
-//! bit-value population of the data.
+//! every load and store — with its actual data value — is recorded into
+//! the columns of an [`AccessBatch`](cnt_sim::trace::AccessBatch), the one
+//! in-memory trace the simulator replays. This preserves the two
+//! properties the adaptive-encoding result depends on: per-line
+//! read/write mixes and the bit-value population of the data.
 //!
 //! * [`kernels`] — ten program kernels (matmul, FIR, quicksort, histogram,
 //!   stencil, string search, binary search, pointer chase, hash mixing,

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cnt_sim::trace::Trace;
+use cnt_sim::trace::AccessBatch;
 
 use crate::kernels;
 
@@ -14,12 +14,16 @@ pub struct Workload {
     /// Human-readable parameter description.
     pub description: String,
     /// The recorded data-carrying access trace.
-    pub trace: Trace,
+    pub trace: AccessBatch,
 }
 
 impl Workload {
     /// Bundles a verified trace with its identity.
-    pub fn new(name: impl Into<String>, description: impl Into<String>, trace: Trace) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        description: impl Into<String>,
+        trace: AccessBatch,
+    ) -> Self {
         Workload {
             name: name.into(),
             description: description.into(),
@@ -447,11 +451,11 @@ mod tests {
         let dir = std::env::temp_dir().join("cnt_registry_test");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("mkdir");
-        let trace: Trace = (0..50)
+        let trace: AccessBatch = (0..50)
             .map(|i| MemoryAccess::read(Address::new(0x1000 + i * 8), 8))
             .collect();
         let mut bytes = Vec::new();
-        cnt_trace::pack_trace(&trace, &mut bytes, 16).expect("packs");
+        cnt_trace::pack_accesses(&trace, &mut bytes, 16).expect("packs");
         fs::write(dir.join("mcf_like.ctr"), &bytes).expect("writes");
         fs::write(dir.join("notes.txt"), b"ignored").expect("writes");
 

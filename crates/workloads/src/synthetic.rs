@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::Address;
 
 /// How synthetic accesses pick their target line.
@@ -93,7 +93,7 @@ impl SyntheticSpec {
     ///
     /// Panics if `footprint_lines` is zero, a fraction is outside
     /// `[0, 1]`, or a strided pattern has a zero stride.
-    pub fn generate(&self) -> Trace {
+    pub fn generate(&self) -> AccessBatch {
         self.stream().collect()
     }
 
@@ -107,7 +107,7 @@ impl SyntheticSpec {
     /// let spec = SyntheticSpec::default();
     /// let streamed: Vec<_> = spec.stream().collect();
     /// assert_eq!(streamed.len(), spec.stream().len());
-    /// assert_eq!(cnt_sim::trace::Trace::from_iter(streamed), spec.generate());
+    /// assert_eq!(cnt_sim::trace::AccessBatch::from_iter(streamed), spec.generate());
     /// ```
     ///
     /// # Panics
@@ -257,7 +257,7 @@ impl StripedSpec {
     ///
     /// Panics if `footprint_lines` is zero or any fraction is outside
     /// `[0, 1]`.
-    pub fn generate(&self) -> Trace {
+    pub fn generate(&self) -> AccessBatch {
         assert!(self.footprint_lines > 0, "footprint must be non-empty");
         assert!(
             (0.0..=1.0).contains(&self.read_fraction),
@@ -267,7 +267,7 @@ impl StripedSpec {
             assert!((0.0..=1.0).contains(&d), "density must be in [0, 1]");
         }
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut trace = Trace::new();
+        let mut trace = AccessBatch::new();
         for line in 0..self.footprint_lines {
             for (word, &density) in self.densities.iter().enumerate() {
                 let addr = Address::new(BASE + (line as u64) * 64 + (word as u64) * 8);
@@ -355,8 +355,8 @@ mod tests {
         };
         let trace = spec.generate();
         let init = spec.footprint_lines * 8;
-        let demand = &trace.as_slice()[init..];
-        let writes = demand.iter().filter(|a| a.is_write()).count();
+        let demand = trace.iter().skip(init);
+        let writes = demand.clone().filter(|a| a.is_write()).count();
         let wf = writes as f64 / demand.len() as f64;
         assert!((wf - 0.2).abs() < 0.02, "write fraction {wf}");
     }
@@ -391,8 +391,8 @@ mod tests {
         let trace = spec.generate();
         let init = spec.footprint_lines * 8;
         let mut counts = vec![0usize; 64];
-        for a in &trace.as_slice()[init..] {
-            counts[((a.addr.value() - BASE) / 64) as usize] += 1;
+        for a in &trace.addrs()[init..] {
+            counts[((a - BASE) / 64) as usize] += 1;
         }
         assert!(
             counts[0] > counts[32] * 4,
@@ -426,7 +426,7 @@ mod tests {
             };
             let stream = spec.stream();
             assert_eq!(stream.len(), 48 * 8 + 3_000, "{pattern:?}");
-            let streamed: Trace = stream.collect();
+            let streamed: AccessBatch = stream.collect();
             assert_eq!(streamed, spec.generate(), "{pattern:?}");
         }
     }

@@ -1,10 +1,10 @@
 //! [`TracedMemory`]: a memory that records every access it serves.
 
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::{Address, MainMemory};
 
 /// A word-addressable memory that executes real kernel accesses while
-/// recording each one — with its data value — into a [`Trace`].
+/// recording each one — with its data value — into an [`AccessBatch`].
 ///
 /// Kernels allocate regions with [`alloc`](TracedMemory::alloc), run their
 /// algorithm through the typed load/store methods, verify their results
@@ -26,7 +26,7 @@ use cnt_sim::{Address, MainMemory};
 #[derive(Debug)]
 pub struct TracedMemory {
     memory: MainMemory,
-    trace: Trace,
+    trace: AccessBatch,
     cursor: u64,
 }
 
@@ -38,7 +38,7 @@ impl TracedMemory {
     pub fn new() -> Self {
         TracedMemory {
             memory: MainMemory::new(),
-            trace: Trace::new(),
+            trace: AccessBatch::new(),
             cursor: HEAP_BASE,
         }
     }
@@ -57,7 +57,7 @@ impl TracedMemory {
     }
 
     /// Consumes the wrapper, returning the recorded trace.
-    pub fn into_trace(self) -> Trace {
+    pub fn into_trace(self) -> AccessBatch {
         self.trace
     }
 
@@ -141,11 +141,11 @@ mod tests {
         let v = mem.load_u32(buf);
         assert_eq!(v, 0xABCD);
         let trace = mem.into_trace();
-        let w = &trace.as_slice()[0];
+        let w = trace.get(0);
         assert_eq!(w.kind, AccessKind::Write);
         assert_eq!(w.value, 0xABCD);
         assert_eq!(w.width, 4);
-        assert_eq!(trace.as_slice()[1].kind, AccessKind::Read);
+        assert_eq!(trace.kind(1), AccessKind::Read);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 
 use cnt_cache::{AdaptiveParams, CntCache, CntCacheConfig, EncodingPolicy, EnergyReport};
 use cnt_encoding::BitPreference;
-use cnt_sim::trace::Trace;
+use cnt_sim::trace::AccessBatch;
 use cnt_workloads::suite;
 
 fn simulate(
     policy: EncodingPolicy,
-    trace: &Trace,
+    trace: &AccessBatch,
 ) -> Result<EnergyReport, Box<dyn std::error::Error>> {
     let mut cache = CntCache::new(CntCacheConfig::builder().policy(policy).build()?)?;
     cache.run(trace.iter())?;

@@ -7,7 +7,7 @@
 //! ```
 
 use cnt_cache::{CntHierarchy, CntHierarchyConfig, EncodingPolicy};
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::{Address, CacheHierarchy, HierarchyConfig};
 use cnt_workloads::kernels;
 use cnt_workloads::synthetic::word_with_density;
@@ -16,15 +16,15 @@ use rand::SeedableRng;
 
 /// Interleave a data trace with a synthetic instruction-fetch stream, the
 /// way a simple in-order core would issue them.
-fn interleave_with_ifetch(data: &Trace) -> Trace {
-    let mut out = Trace::new();
+fn interleave_with_ifetch(data: &AccessBatch) -> AccessBatch {
+    let mut out = AccessBatch::new();
     let code_base = 0x0040_0000u64;
     let code_lines = 64u64;
     for (i, access) in data.iter().enumerate() {
         // One fetch per "instruction", walking a looping code footprint.
         let pc = code_base + (i as u64 % (code_lines * 8)) * 8;
         out.push(MemoryAccess::ifetch(Address::new(pc)));
-        out.push(*access);
+        out.push(access);
     }
     out
 }

@@ -4,13 +4,13 @@
 
 use cnt_cache::{AdaptiveParams, CntCache, CntCacheConfig, EncodingPolicy};
 use cnt_encoding::BitPreference;
-use cnt_sim::trace::Trace;
+use cnt_sim::trace::AccessBatch;
 use cnt_sim::{Address, MainMemory};
 use cnt_workloads::suite_small;
 
 /// Replays a trace directly against flat memory (no cache): the
 /// architectural reference image.
-fn reference_image(trace: &Trace) -> MainMemory {
+fn reference_image(trace: &AccessBatch) -> MainMemory {
     let mut mem = MainMemory::new();
     for access in trace {
         if access.is_write() {

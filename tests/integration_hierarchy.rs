@@ -2,7 +2,7 @@
 //! their semantics and the level statistics obey inclusion-style
 //! invariants.
 
-use cnt_sim::trace::{MemoryAccess, Trace};
+use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::{
     Address, CacheGeometry, CacheHierarchy, HierarchyConfig, MainMemory, ReplacementKind,
 };
@@ -19,7 +19,7 @@ fn tiny_hierarchy() -> CacheHierarchy {
     CacheHierarchy::new(config)
 }
 
-fn reference_image(trace: &Trace) -> MainMemory {
+fn reference_image(trace: &AccessBatch) -> MainMemory {
     let mut mem = MainMemory::new();
     for access in trace {
         if access.is_write() {
@@ -70,7 +70,7 @@ fn l2_sees_only_l1_misses() {
 #[test]
 fn ifetch_stream_isolates_to_l1i() {
     let mut h = tiny_hierarchy();
-    let trace: Trace = (0..256u64)
+    let trace: AccessBatch = (0..256u64)
         .map(|i| MemoryAccess::ifetch(Address::new(0x1000 + (i % 32) * 64)))
         .collect();
     h.run(trace.iter()).expect("trace runs");

@@ -2,10 +2,10 @@
 //! stay in the expected band and the losers stay bounded.
 
 use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EnergyReport};
-use cnt_sim::trace::Trace;
+use cnt_sim::trace::AccessBatch;
 use cnt_workloads::suite_small;
 
-fn run(policy: EncodingPolicy, trace: &Trace) -> EnergyReport {
+fn run(policy: EncodingPolicy, trace: &AccessBatch) -> EnergyReport {
     let mut cache = CntCache::new(
         CntCacheConfig::builder()
             .policy(policy)
