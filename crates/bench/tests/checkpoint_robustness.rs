@@ -174,6 +174,52 @@ fn targeted_corruptions_hit_the_right_variant() {
     assert!(matches!(err, CheckpointError::ConfigMismatch { .. }));
 }
 
+const PINNED_LEN: usize = 230_029;
+const PINNED_CRC: u32 = 0x77D7_7DA4;
+
+/// The bytes of a checkpoint whose memory section holds written-back
+/// chunks: 6,000 accesses, two in three of them writes, over 2,048
+/// lines, four times the L1D's 512. A change to how `MainMemory` stores
+/// or serializes its chunks, or to any other section, shows here as a
+/// different length or CRC-32. The constants were captured from the
+/// build before `MainMemory` copied whole chunks; change them only with
+/// a note in CHANGES.md saying why the checkpoint bytes moved.
+#[test]
+fn checkpoint_bytes_are_pinned_across_builds() {
+    let (base, cnt) = configs();
+    let mut cache = CntCache::new(cnt.clone()).expect("valid config");
+    for i in 0..6000u64 {
+        let line = i.wrapping_mul(7919) % 2048;
+        let addr = cnt_sim::Address::new(line * 64 + (i % 8) * 8);
+        if i % 3 == 0 {
+            cache.read(addr, 8).expect("read");
+        } else {
+            cache
+                .write(addr, 8, i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .expect("write");
+        }
+    }
+    let driver = DriverState {
+        pass: 1,
+        baseline: None,
+        cursor: ReplayCursor {
+            chunk: 5,
+            accesses: 6000,
+            ..ReplayCursor::default()
+        },
+        replay_ids_allocated: 2,
+        metrics_every: None,
+    };
+    let bytes = ckpt::build(&cache, (&base, &cnt), 0xC0FFEE, &driver)
+        .expect("builds")
+        .to_bytes();
+    assert_eq!(
+        (bytes.len(), cnt_trace::crc32(&bytes)),
+        (PINNED_LEN, PINNED_CRC),
+        "checkpoint bytes moved"
+    );
+}
+
 // ------------------------------------------------------------------ oracle
 
 /// Runs the release `tracegen` binary with the given args, returning

@@ -1,4 +1,9 @@
 //! Sparse flat backing store.
+//!
+//! Memory is a map from 64-byte-aligned chunk base to eight words. Every
+//! path does one map lookup per chunk it touches: a 64-byte line transfer
+//! copies one whole chunk, and a narrow store splices its word on one
+//! borrow.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -27,11 +32,11 @@ pub enum FillPattern {
     },
 }
 
-/// A sparse, word-granular main memory.
+/// A sparse main memory.
 ///
-/// Lines are materialized on first touch. Word and byte accessors are
-/// provided for the workload layer, which executes real kernels against
-/// this memory while recording the resulting trace.
+/// 64-byte chunks are materialized on first touch. Word and byte
+/// accessors are provided for the workload layer, which executes real
+/// kernels against this memory while recording the resulting trace.
 ///
 /// # Example
 ///
@@ -43,7 +48,7 @@ pub enum FillPattern {
 /// assert_eq!(mem.load(Address::new(0x100), 4), 0xABCD);
 /// assert_eq!(mem.load(Address::new(0x104), 4), 0);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct MainMemory {
     /// Storage keyed by 64-byte-aligned chunk base address.
     chunks: HashMap<u64, Box<[u64; WORDS_PER_CHUNK]>>,
@@ -157,16 +162,26 @@ impl MainMemory {
             .or_insert_with(|| Self::chunk_content(fill, base))
     }
 
+    /// The chunk holding the aligned word at `addr`, and the word's index
+    /// in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 8-byte aligned.
+    fn word_slot(&mut self, addr: Address) -> (&mut [u64; WORDS_PER_CHUNK], usize) {
+        assert!(addr.is_aligned(8), "word access at unaligned {addr}");
+        let word = (addr.offset_in(CHUNK_BYTES) / 8) as usize;
+        (self.chunk(addr.align_down(CHUNK_BYTES).value()), word)
+    }
+
     /// Reads one aligned 64-bit word.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not 8-byte aligned.
     pub fn read_word(&mut self, addr: Address) -> u64 {
-        assert!(addr.is_aligned(8), "word read at unaligned {addr}");
-        let base = addr.align_down(CHUNK_BYTES).value();
-        let word = (addr.offset_in(CHUNK_BYTES) / 8) as usize;
-        self.chunk(base)[word]
+        let (chunk, word) = self.word_slot(addr);
+        chunk[word]
     }
 
     /// Writes one aligned 64-bit word.
@@ -175,10 +190,8 @@ impl MainMemory {
     ///
     /// Panics if `addr` is not 8-byte aligned.
     pub fn write_word(&mut self, addr: Address, value: u64) {
-        assert!(addr.is_aligned(8), "word write at unaligned {addr}");
-        let base = addr.align_down(CHUNK_BYTES).value();
-        let word = (addr.offset_in(CHUNK_BYTES) / 8) as usize;
-        self.chunk(base)[word] = value;
+        let (chunk, word) = self.word_slot(addr);
+        chunk[word] = value;
     }
 
     /// Loads `width` bytes (1, 2, 4, or 8) from a naturally-aligned address.
@@ -203,9 +216,8 @@ impl MainMemory {
     /// `width`.
     pub fn store(&mut self, addr: Address, width: u8, value: u64) {
         check_access(addr, width);
-        let word_addr = addr.align_down(8);
-        let old = self.read_word(word_addr);
-        self.write_word(word_addr, splice(old, addr.offset_in(8), width, value));
+        let (chunk, word) = self.word_slot(addr.align_down(8));
+        chunk[word] = splice(chunk[word], addr.offset_in(8), width, value);
     }
 }
 
@@ -224,18 +236,24 @@ impl fmt::Debug for MainMemory {
     }
 }
 
+/// A line's base is aligned to its length, so a line shorter than a chunk
+/// lies inside one chunk and a longer one starts on a chunk boundary:
+/// each `WORDS_PER_CHUNK`-word piece of the line is a slice of one chunk,
+/// copied on one map lookup.
 impl Backing for MainMemory {
     fn load_line(&mut self, base: Address, buf: &mut [u64]) {
         debug_assert!(base.is_aligned(buf.len() as u64 * 8));
-        for (i, word) in buf.iter_mut().enumerate() {
-            *word = self.read_word(base + i as u64 * 8);
+        for (i, piece) in buf.chunks_mut(WORDS_PER_CHUNK).enumerate() {
+            let (chunk, word) = self.word_slot(base + i as u64 * CHUNK_BYTES);
+            piece.copy_from_slice(&chunk[word..word + piece.len()]);
         }
     }
 
     fn store_line(&mut self, base: Address, data: &[u64]) {
         debug_assert!(base.is_aligned(data.len() as u64 * 8));
-        for (i, &word) in data.iter().enumerate() {
-            self.write_word(base + i as u64 * 8, word);
+        for (i, piece) in data.chunks(WORDS_PER_CHUNK).enumerate() {
+            let (chunk, word) = self.word_slot(base + i as u64 * CHUNK_BYTES);
+            chunk[word..word + piece.len()].copy_from_slice(piece);
         }
     }
 
@@ -279,6 +297,7 @@ fn width_mask(width: u8) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zero_fill_reads_zero() {
@@ -388,6 +407,82 @@ mod tests {
             chunks: vec![good(64), good(64)],
         };
         assert!(MainMemory::from_snapshot(dup).is_err());
+    }
+
+    /// Line transfers a word at a time, one map lookup per word: the
+    /// oracle for `load_line`/`store_line`.
+    fn oracle_load_line(mem: &mut MainMemory, base: Address, buf: &mut [u64]) {
+        for (i, word) in buf.iter_mut().enumerate() {
+            *word = mem.read_word(base + i as u64 * 8);
+        }
+    }
+
+    fn oracle_store_line(mem: &mut MainMemory, base: Address, data: &[u64]) {
+        for (i, &word) in data.iter().enumerate() {
+            mem.write_word(base + i as u64 * 8, word);
+        }
+    }
+
+    /// `store` as a read-modify-write through two word lookups.
+    fn oracle_store(mem: &mut MainMemory, addr: Address, width: u8, value: u64) {
+        let word_addr = addr.align_down(8);
+        let old = mem.read_word(word_addr);
+        mem.write_word(word_addr, splice(old, addr.offset_in(8), width, value));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sequences of line transfers (8–256 B) and narrow
+        /// accesses (1–8 B) over 4 KiB, under both fill patterns: every
+        /// read and every snapshot equals the per-word oracle's.
+        #[test]
+        fn chunk_copies_match_the_per_word_oracle(
+            seed in any::<u64>(),
+            random_fill in any::<bool>(),
+            ops in prop::collection::vec((0u8..4, 0u32..6, 0u64..4096, any::<u64>()), 1..48),
+        ) {
+            let fill = if random_fill {
+                FillPattern::Random { seed }
+            } else {
+                FillPattern::Zero
+            };
+            let mut mem = MainMemory::with_fill(fill);
+            let mut oracle = MainMemory::with_fill(fill);
+            for (kind, size, at, value) in ops {
+                let line_bytes = 8u64 << size;
+                let base = Address::new(at).align_down(line_bytes);
+                let words = (line_bytes / 8) as usize;
+                let width = [1u8, 2, 4, 8][size as usize % 4];
+                let addr = Address::new(at).align_down(u64::from(width));
+                match kind {
+                    0 => {
+                        let data: Vec<u64> = (0..words as u64)
+                            .map(|i| value.rotate_left(i as u32 * 7) ^ i)
+                            .collect();
+                        mem.store_line(base, &data);
+                        oracle_store_line(&mut oracle, base, &data);
+                    }
+                    1 => {
+                        let mut got = vec![0; words];
+                        let mut want = vec![0; words];
+                        mem.load_line(base, &mut got);
+                        oracle_load_line(&mut oracle, base, &mut want);
+                        prop_assert_eq!(got, want, "load_line {} B at {}", line_bytes, base);
+                    }
+                    2 => {
+                        mem.store(addr, width, value);
+                        oracle_store(&mut oracle, addr, width, value);
+                    }
+                    _ => prop_assert_eq!(
+                        mem.load(addr, width),
+                        oracle.load(addr, width),
+                        "load {} B at {}", width, addr
+                    ),
+                }
+                prop_assert_eq!(mem.snapshot(), oracle.snapshot());
+            }
+        }
     }
 
     #[test]
