@@ -27,8 +27,8 @@ use cnt_encoding::{
 use cnt_energy::{ChargeKind, EnergyBreakdown, EnergyMeter};
 use cnt_sim::trace::{AccessBatch, MemoryAccess};
 use cnt_sim::{
-    AccessError, AccessOutcome, Address, ArrayObserver, Backing, Cache, CacheLevel, CacheLine,
-    CacheSnapshot, CacheStats, LineLocation, MainMemory, MemorySnapshot,
+    AccessError, AccessOutcome, Address, ArrayObserver, Backing, Cache, CacheLevel, CacheSnapshot,
+    CacheStats, LineLocation, MainMemory, MemorySnapshot,
 };
 use cnt_trace::{CheckpointError, Checkpointable};
 use serde::{Deserialize, Serialize};
@@ -253,7 +253,7 @@ impl EncodingLane {
     }
 
     fn line_index(&self, loc: LineLocation) -> usize {
-        (loc.set * u64::from(self.config.geometry.associativity()) + u64::from(loc.way)) as usize
+        loc.slot(self.config.geometry.associativity())
     }
 
     /// Energy scale of the zero-flag sidecar array (zero when metadata
@@ -367,8 +367,8 @@ impl EncodingLane {
             };
 
             if confirmed {
-                let line = cache.line_at(location);
-                let decision = predictor.decide(summary, line.as_words(), &self.states[idx].dirs);
+                let decision =
+                    predictor.decide(summary, cache.words(location), &self.states[idx].dirs);
                 if decision.switches() {
                     self.counters.switch_decisions += 1;
                     self.counters.projected_saving_fj += decision.projected_saving_fj;
@@ -414,7 +414,7 @@ impl EncodingLane {
     /// Only an injected upset makes a verdict other than `Clean`, so
     /// only then does this write into `cache`.
     fn verify_line_metadata(&mut self, cache: &mut Cache, loc: LineLocation) -> ProtectionVerdict {
-        if self.protection == ProtectionMode::None || !cache.line_at(loc).is_valid() {
+        if self.protection == ProtectionMode::None || !cache.is_valid(loc) {
             return ProtectionVerdict::Clean;
         }
         let idx = self.line_index(loc);
@@ -458,8 +458,7 @@ impl EncodingLane {
                 // only the direction lying about them — so re-deriving
                 // the logical partition is an exact inverse of the upset.
                 let (start, len) = self.codec.layout().range(p);
-                let line = cache.line_at_mut(loc);
-                cnt_encoding::popcount::invert_range(line.as_words_mut(), start, len);
+                cnt_encoding::popcount::invert_range(cache.words_mut(loc), start, len);
                 self.charge_protection_repair(idx);
             }
             ProtectionVerdict::CorrectedCheck => {
@@ -501,7 +500,7 @@ impl EncodingLane {
             MetadataFaultPolicy::InvalidateLine => {
                 self.degraded_lines.push(base);
                 self.fifo.cancel_where(|u| u.location() == loc);
-                let was_dirty = cache.line_at_mut(loc).invalidate();
+                let was_dirty = cache.invalidate(loc);
                 if was_dirty {
                     // Unwritten stores are lost — detected data loss,
                     // never silent: the base is in the degraded log.
@@ -527,8 +526,7 @@ impl EncodingLane {
                 for p in 0..self.codec.layout().partitions() {
                     if dirs_mask >> p & 1 == 1 {
                         let (start, len) = self.codec.layout().range(p);
-                        let line = cache.line_at_mut(loc);
-                        cnt_encoding::popcount::invert_range(line.as_words_mut(), start, len);
+                        cnt_encoding::popcount::invert_range(cache.words_mut(loc), start, len);
                     }
                 }
                 self.states[idx].dirs.normalize();
@@ -548,7 +546,7 @@ impl EncodingLane {
         for set in 0..self.config.geometry.num_sets() {
             for way in 0..self.config.geometry.associativity() {
                 let loc = LineLocation { set, way };
-                if !cache.line_at(loc).is_valid() {
+                if !cache.is_valid(loc) {
                     continue;
                 }
                 report.lines_checked += 1;
@@ -596,8 +594,7 @@ impl EncodingLane {
             self.verify_line_metadata(cache, loc);
         }
         let idx = self.line_index(loc);
-        let line = cache.line_at(loc);
-        if !line.is_valid() {
+        if !cache.is_valid(loc) {
             // Fills cancel their location's pending updates, so this is
             // reached only after a whole-cache reset or a fault-policy
             // invalidation that raced the drain; drop silently.
@@ -618,9 +615,10 @@ impl EncodingLane {
         // u64×4 pass; a single flip counts just its own range.
         let mut raw_counts = [0u32; cnt_encoding::MAX_PARTITIONS];
         let partitions = layout.partitions();
+        let words = cache.words(loc);
         if flips.count_ones() > 1 && partition_bits.is_multiple_of(64) {
             cnt_encoding::popcount::popcount_word_partitions(
-                line.as_words(),
+                words,
                 (partition_bits / 64) as usize,
                 &mut raw_counts[..partitions as usize],
             );
@@ -629,7 +627,7 @@ impl EncodingLane {
                 if flips >> p & 1 == 1 {
                     let (start, len) = layout.range(p);
                     raw_counts[p as usize] =
-                        cnt_encoding::popcount::popcount_range(line.as_words(), start, len);
+                        cnt_encoding::popcount::popcount_range(words, start, len);
                 }
             }
         }
@@ -1122,23 +1120,19 @@ impl CntCache {
     ///
     /// Panics if `loc` is out of range.
     pub fn stored_line(&self, loc: LineLocation) -> Option<Vec<u64>> {
-        let line: &CacheLine = self.cache.line_at(loc);
-        if !line.is_valid() {
-            return None;
-        }
-        Some(
+        self.cache.is_valid(loc).then(|| {
             self.lane
                 .codec
-                .apply(line.as_words(), self.direction_bits(loc)),
-        )
+                .apply(self.cache.words(loc), self.direction_bits(loc))
+        })
     }
 
     /// Iterates over all valid lines as `(location, logical line,
     /// direction bits)`.
-    pub fn valid_lines(&self) -> impl Iterator<Item = (LineLocation, &CacheLine, &DirectionBits)> {
+    pub fn valid_lines(&self) -> impl Iterator<Item = (LineLocation, &[u64], &DirectionBits)> {
         self.cache
             .valid_lines()
-            .map(move |(loc, line)| (loc, line, self.direction_bits(loc)))
+            .map(move |(loc, words)| (loc, words, self.direction_bits(loc)))
     }
 
     /// Fault injection for reliability studies: flips the stored direction
@@ -1153,7 +1147,7 @@ impl CntCache {
     ///
     /// Panics if `loc` or `partition` is out of range.
     pub fn inject_direction_fault(&mut self, loc: LineLocation, partition: u32) -> bool {
-        if !self.cache.line_at(loc).is_valid() {
+        if !self.cache.is_valid(loc) {
             return false;
         }
         let lane = &mut self.lane;
@@ -1172,10 +1166,9 @@ impl CntCache {
         // every subsequent read returns corrupted data, exactly as in
         // hardware. The dirty flag is preserved (an upset is not a write).
         let (start, len) = lane.codec.layout().range(partition);
-        let line = self.cache.line_at_mut(loc);
-        // Mutating through `as_words_mut` leaves the dirty flag alone,
+        // Mutating through `words_mut` leaves the dirty flag alone,
         // which is exactly right: an upset is not a write.
-        cnt_encoding::popcount::invert_range(line.as_words_mut(), start, len);
+        cnt_encoding::popcount::invert_range(self.cache.words_mut(loc), start, len);
         true
     }
 
@@ -1245,7 +1238,7 @@ impl CntCache {
         loc: LineLocation,
         upset: impl FnOnce(&mut LineState) -> Option<()>,
     ) -> bool {
-        if !self.cache.line_at(loc).is_valid() {
+        if !self.cache.is_valid(loc) {
             return false;
         }
         let idx = self.lane.line_index(loc);
@@ -1350,7 +1343,7 @@ impl CntCache {
                     update.saving_fj
                 )));
             }
-            if !self.cache.line_at(update.location()).is_valid() {
+            if !self.cache.is_valid(update.location()) {
                 return Err(AuditError::new(format!(
                     "fifo update targets invalid line at set {} way {}",
                     update.set, update.way
@@ -1699,9 +1692,9 @@ mod tests {
         }))
         .expect("valid");
         cache.read(Address::new(0), 8).expect("read");
-        assert!(cache.cache.peek(Address::new(0)).is_some(), "line resident");
+        assert!(cache.cache.find(Address::new(0)).is_some(), "line resident");
         let (loc, line, dirs) = cache.valid_lines().next().expect("one line");
-        assert_eq!(line.popcount(), 0, "logical content is zero");
+        assert!(line.iter().all(|&w| w == 0), "logical content is zero");
         assert_eq!(dirs.inverted_count(), 8, "all partitions inverted");
         let stored = cache.stored_line(loc).expect("valid");
         assert!(stored.iter().all(|&w| w == u64::MAX));
@@ -1782,7 +1775,7 @@ mod tests {
         for (loc, line, dirs) in cache.valid_lines().collect::<Vec<_>>() {
             let stored = cache.stored_line(loc).expect("valid");
             let decoded = cache.lane.codec.decode(&stored, dirs);
-            assert_eq!(decoded, line.as_words());
+            assert_eq!(decoded, line);
         }
     }
 

@@ -21,6 +21,15 @@ pub enum ConfigError {
     Geometry(GeometryError),
     /// The encoding configuration is invalid for this geometry.
     Encoding(EncodingError),
+    /// A hierarchy level's line size differs from the L1D's.
+    LineSizeMismatch {
+        /// The offending level's name.
+        level: String,
+        /// Its line size in bytes.
+        line_bytes: u32,
+        /// The L1D's line size in bytes.
+        expected: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -28,6 +37,14 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::Geometry(e) => write!(f, "invalid geometry: {e}"),
             ConfigError::Encoding(e) => write!(f, "invalid encoding configuration: {e}"),
+            ConfigError::LineSizeMismatch {
+                level,
+                line_bytes,
+                expected,
+            } => write!(
+                f,
+                "{level} has {line_bytes}-byte lines, the L1D {expected}-byte lines"
+            ),
         }
     }
 }
@@ -37,6 +54,7 @@ impl Error for ConfigError {
         match self {
             ConfigError::Geometry(e) => Some(e),
             ConfigError::Encoding(e) => Some(e),
+            ConfigError::LineSizeMismatch { .. } => None,
         }
     }
 }

@@ -124,8 +124,21 @@ impl CntHierarchy {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any level's configuration is invalid.
+    /// Returns [`ConfigError`] if any level's configuration is invalid, or
+    /// [`ConfigError::LineSizeMismatch`] if a level's line size differs
+    /// from the L1D's: lines move between levels whole.
     pub fn new(config: CntHierarchyConfig) -> Result<Self, ConfigError> {
+        let expected = config.l1d.geometry.line_bytes();
+        for level in std::iter::once(&config.l1i).chain(&config.l2) {
+            let line_bytes = level.geometry.line_bytes();
+            if line_bytes != expected {
+                return Err(ConfigError::LineSizeMismatch {
+                    level: level.name.clone(),
+                    line_bytes,
+                    expected,
+                });
+            }
+        }
         Ok(CntHierarchy {
             l1i: CntCache::new(config.l1i)?,
             l1d: CntCache::new(config.l1d)?,
@@ -351,6 +364,31 @@ mod tests {
                     .expect("valid"),
             ),
         }
+    }
+
+    #[test]
+    fn mismatched_line_sizes_are_a_config_error() {
+        let mut config = CntHierarchyConfig::typical(
+            EncodingPolicy::None,
+            EncodingPolicy::adaptive_default(),
+            EncodingPolicy::None,
+        )
+        .expect("valid");
+        config.l1d = CntCacheConfig::builder()
+            .name("L1D")
+            .size_bytes(32 * 1024)
+            .line_bytes(32)
+            .build()
+            .expect("valid");
+        let err = CntHierarchy::new(config).expect_err("line sizes differ");
+        assert_eq!(
+            err,
+            ConfigError::LineSizeMismatch {
+                level: "L1I".to_string(),
+                line_bytes: 64,
+                expected: 32,
+            }
+        );
     }
 
     #[test]

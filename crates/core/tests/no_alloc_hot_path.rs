@@ -9,7 +9,8 @@
 //! both through `run` over records and through the columnar `run_batch`
 //! that streamed replays and the benchmark drive, and through a
 //! three-lane `LaneGroup` that fans one simulation out to several
-//! encoders.
+//! encoders. Every replacement policy's hit, fill and victim steps are
+//! covered.
 //!
 //! The wrapper forwards to `System` verbatim, so the accounting cannot
 //! change allocation behaviour — only observe it.
@@ -20,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cnt_cache::{CntCache, CntCacheConfig, EncodingPolicy, EpochClock, LaneGroup};
 use cnt_encoding::ProtectionMode;
 use cnt_sim::trace::{AccessBatch, MemoryAccess};
-use cnt_sim::Address;
+use cnt_sim::{Address, ReplacementKind};
 
 struct CountingAllocator;
 
@@ -109,6 +110,19 @@ fn steady_state_replay_allocates_nothing() {
         ))
         .expect("valid config")
     };
+    for kind in [
+        ReplacementKind::Fifo,
+        ReplacementKind::Random { seed: 3 },
+        ReplacementKind::TreePlru,
+        ReplacementKind::Srrip,
+    ] {
+        let mut config = config(EncodingPolicy::adaptive_default(), ProtectionMode::None);
+        config.replacement = kind;
+        let cache = CntCache::new(config).expect("valid config");
+        assert_steady_state_allocates_nothing(&format!("{kind} run"), cache, |cache| {
+            cache.run(trace.iter()).expect("well-formed trace");
+        });
+    }
     assert_steady_state_allocates_nothing("run", adaptive(), |cache| {
         cache.run(trace.iter()).expect("well-formed trace");
     });

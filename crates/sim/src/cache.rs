@@ -5,10 +5,9 @@ use std::fmt;
 
 use crate::addr::Address;
 use crate::config::CacheGeometry;
-use crate::line::CacheLine;
+use crate::line::{CacheLine, LineArray, LineLocation};
 use crate::memory::{check_access, extract, splice};
 use crate::replacement::{ReplacementKind, ReplacementState};
-use crate::set::CacheSet;
 use crate::stats::CacheStats;
 
 /// Serializable image of a cache's mutable state: every line
@@ -24,21 +23,6 @@ pub struct CacheSnapshot {
     pub replacement: Vec<ReplacementState>,
     /// Accumulated statistics at capture time.
     pub stats: CacheStats,
-}
-
-/// Where a line lives inside the cache array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LineLocation {
-    /// The set index.
-    pub set: u64,
-    /// The way within the set.
-    pub way: u32,
-}
-
-impl fmt::Display for LineLocation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "set {} way {}", self.set, self.way)
-    }
 }
 
 /// Raw SRAM-array activity, reported as it happens.
@@ -192,7 +176,10 @@ pub struct Cache {
     geometry: CacheGeometry,
     write_mode: WriteMode,
     prefetch: PrefetchPolicy,
-    sets: Vec<CacheSet>,
+    kind: ReplacementKind,
+    lines: LineArray,
+    /// One replacement state per set.
+    replacement: Vec<ReplacementState>,
     stats: CacheStats,
     scratch: Vec<u64>,
 }
@@ -204,17 +191,18 @@ impl Cache {
         geometry: CacheGeometry,
         replacement: ReplacementKind,
     ) -> Self {
-        let ways = geometry.associativity() as usize;
+        let ways = geometry.associativity();
         let words = geometry.words_per_line();
-        let sets = (0..geometry.num_sets())
-            .map(|i| CacheSet::new(ways, words, replacement, i))
-            .collect();
         Cache {
             name: name.into(),
             geometry,
             write_mode: WriteMode::WriteBack,
             prefetch: PrefetchPolicy::None,
-            sets,
+            kind: replacement,
+            lines: LineArray::new(geometry.num_sets(), ways, words),
+            replacement: (0..geometry.num_sets())
+                .map(|set| ReplacementState::new(replacement, ways as usize, set))
+                .collect(),
             stats: CacheStats::default(),
             scratch: vec![0; words],
         }
@@ -304,9 +292,8 @@ impl Cache {
         let (location, hit, evicted) = self.ensure_line(addr, lower, observer);
         self.stats.record_read(hit);
         let word_index = (addr.offset_in(u64::from(self.geometry.line_bytes())) / 8) as usize;
-        let set = &mut self.sets[location.set as usize];
-        set.touch_hit(location.way as usize);
-        let word = set.line(location.way as usize).read_word(word_index);
+        self.touch(location);
+        let word = self.lines.words(location)[word_index];
         observer.word_read(location, word_index, word);
         let value = extract(word, addr.offset_in(8), width);
         if !hit {
@@ -360,7 +347,7 @@ impl Cache {
         // Write-around: a miss under no-allocate bypasses the array.
         if self.write_mode == WriteMode::WriteThroughNoAllocate {
             let parts = self.geometry.split(addr);
-            if self.sets[parts.set as usize].find(parts.tag).is_none() {
+            if self.lines.find(parts.set, parts.tag).is_none() {
                 self.stats.record_write(false);
                 self.stats.writethroughs += 1;
                 // Sub-word stores read-modify-write the backing word; the
@@ -387,16 +374,14 @@ impl Cache {
         let (location, hit, evicted) = self.ensure_line(addr, lower, observer);
         self.stats.record_write(hit);
         let word_index = (addr.offset_in(u64::from(self.geometry.line_bytes())) / 8) as usize;
-        let set = &mut self.sets[location.set as usize];
-        set.touch_hit(location.way as usize);
-        let line = set.line_mut(location.way as usize);
-        let old = line.read_word(word_index);
+        self.touch(location);
+        let old = self.lines.words(location)[word_index];
         let new = splice(old, addr.offset_in(8), width, value);
-        line.write_word(word_index, new);
+        self.lines.write_word(location, word_index, new);
         observer.word_written(location, word_index, old, new);
         if self.write_mode != WriteMode::WriteBack {
             // The backing word is updated immediately; the line stays clean.
-            line.mark_clean();
+            self.lines.mark_clean(location);
             lower.store_word(word_addr, new);
             self.stats.writethroughs += 1;
         }
@@ -426,7 +411,7 @@ impl Cache {
         let line_bytes = u64::from(self.geometry.line_bytes());
         let next = demand_addr.align_down(line_bytes) + line_bytes;
         let parts = self.geometry.split(next);
-        if self.sets[parts.set as usize].find(parts.tag).is_some() {
+        if self.lines.find(parts.set, parts.tag).is_some() {
             return; // already resident
         }
         let _ = self.ensure_line(next, lower, observer);
@@ -441,81 +426,66 @@ impl Cache {
         observer: &mut dyn ArrayObserver,
     ) -> (LineLocation, bool, Option<(Address, bool)>) {
         let parts = self.geometry.split(addr);
-        let set_index = parts.set as usize;
-        if let Some(way) = self.sets[set_index].find(parts.tag) {
-            let loc = LineLocation {
-                set: parts.set,
-                way: way as u32,
-            };
+        if let Some(loc) = self.lines.find(parts.set, parts.tag) {
             return (loc, true, None);
         }
 
-        // Miss: choose a target way, evict whatever lives there.
-        let way = self.sets[set_index].fill_target();
+        // Miss: fill an invalid way if there is one, else evict the
+        // policy's victim.
+        let policy = &mut self.replacement[parts.set as usize];
+        let way = self
+            .lines
+            .free_way(parts.set)
+            .unwrap_or_else(|| policy.victim(self.geometry.associativity() as usize) as u32);
         let loc = LineLocation {
             set: parts.set,
-            way: way as u32,
+            way,
         };
         let mut evicted = None;
-        {
-            let victim_base;
-            let victim_dirty;
-            {
-                let line = self.sets[set_index].line(way);
-                if line.is_valid() {
-                    victim_base = Some(self.geometry.line_base(line.tag(), parts.set));
-                    victim_dirty = line.is_dirty();
-                } else {
-                    victim_base = None;
-                    victim_dirty = false;
-                }
+        if self.lines.is_valid(loc) {
+            let base = self.geometry.line_base(self.lines.tag(loc), parts.set);
+            let dirty = self.lines.is_dirty(loc);
+            let data = self.lines.words(loc);
+            observer.line_evicted(loc, base, data, dirty);
+            if dirty {
+                lower.store_line(base, data);
+                self.stats.writebacks += 1;
             }
-            if let Some(base) = victim_base {
-                let line = self.sets[set_index].line(way);
-                observer.line_evicted(loc, base, line.as_words(), victim_dirty);
-                if victim_dirty {
-                    lower.store_line(base, line.as_words());
-                    self.stats.writebacks += 1;
-                }
-                self.stats.evictions += 1;
-                evicted = Some((base, victim_dirty));
-            }
+            self.stats.evictions += 1;
+            evicted = Some((base, dirty));
         }
 
         // Fetch the new line from the backing and install it.
         let base = self.geometry.line_base(parts.tag, parts.set);
         lower.load_line(base, &mut self.scratch);
-        let set = &mut self.sets[set_index];
-        set.line_mut(way).fill(parts.tag, &self.scratch);
-        set.touch_fill(way);
+        self.lines.fill(loc, parts.tag, &self.scratch);
+        self.replacement[parts.set as usize].on_fill(way as usize);
         self.stats.fills += 1;
         observer.line_filled(loc, base, &self.scratch);
         (loc, false, evicted)
+    }
+
+    /// Tells the set's replacement policy that the line at `loc` was
+    /// accessed.
+    fn touch(&mut self, loc: LineLocation) {
+        self.replacement[loc.set as usize].on_hit(loc.way as usize);
     }
 
     /// Writes every dirty line back to the backing (without invalidating),
     /// returning the number of lines written back.
     pub fn flush(&mut self, lower: &mut dyn Backing, observer: &mut dyn ArrayObserver) -> usize {
         let mut written = 0;
-        for set_index in 0..self.sets.len() {
-            for way in 0..self.sets[set_index].ways() {
-                let (base, dirty);
-                {
-                    let line = self.sets[set_index].line(way);
-                    if !line.is_valid() || !line.is_dirty() {
-                        continue;
-                    }
-                    base = self.geometry.line_base(line.tag(), set_index as u64);
-                    dirty = true;
+        for set in 0..self.geometry.num_sets() {
+            for way in 0..self.geometry.associativity() {
+                let loc = LineLocation { set, way };
+                if !self.lines.is_valid(loc) || !self.lines.is_dirty(loc) {
+                    continue;
                 }
-                let loc = LineLocation {
-                    set: set_index as u64,
-                    way: way as u32,
-                };
-                let line = self.sets[set_index].line(way);
-                observer.line_evicted(loc, base, line.as_words(), dirty);
-                lower.store_line(base, line.as_words());
-                self.sets[set_index].line_mut(way).mark_clean();
+                let base = self.line_base_at(loc);
+                let data = self.lines.words(loc);
+                observer.line_evicted(loc, base, data, true);
+                lower.store_line(base, data);
+                self.lines.mark_clean(loc);
                 written += 1;
             }
         }
@@ -523,42 +493,52 @@ impl Cache {
         written
     }
 
-    /// Looks up the line containing `addr` without disturbing replacement
-    /// state or statistics.
-    pub fn peek(&self, addr: Address) -> Option<&CacheLine> {
-        let parts = self.geometry.split(addr);
-        let set = &self.sets[parts.set as usize];
-        set.find(parts.tag).map(|way| set.line(way))
-    }
-
     /// The location of the (valid) line containing `addr`, without
     /// disturbing replacement state or statistics.
     pub fn find(&self, addr: Address) -> Option<LineLocation> {
         let parts = self.geometry.split(addr);
-        self.sets[parts.set as usize]
-            .find(parts.tag)
-            .map(|way| LineLocation {
-                set: parts.set,
-                way: way as u32,
-            })
+        self.lines.find(parts.set, parts.tag)
     }
 
-    /// Direct access to a line by location (e.g. for the encoding layer).
+    /// `true` if the line at `loc` holds live data.
     ///
     /// # Panics
     ///
     /// Panics if the location is out of range.
-    pub fn line_at(&self, loc: LineLocation) -> &CacheLine {
-        self.sets[loc.set as usize].line(loc.way as usize)
+    pub fn is_valid(&self, loc: LineLocation) -> bool {
+        self.lines.is_valid(loc)
     }
 
-    /// Mutable access to a line by location.
+    /// The stored words of the line at `loc` (e.g. for the encoding layer).
     ///
     /// # Panics
     ///
     /// Panics if the location is out of range.
-    pub fn line_at_mut(&mut self, loc: LineLocation) -> &mut CacheLine {
-        self.sets[loc.set as usize].line_mut(loc.way as usize)
+    pub fn words(&self, loc: LineLocation) -> &[u64] {
+        self.lines.words(loc)
+    }
+
+    /// Mutable view of the stored words at `loc`, bypassing the dirty flag.
+    ///
+    /// For modelling *physical* effects that are not architectural writes
+    /// (fault injection, in-place re-encoding). Architectural stores go
+    /// through [`write`](Self::write), which marks the line dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the location is out of range.
+    pub fn words_mut(&mut self, loc: LineLocation) -> &mut [u64] {
+        self.lines.words_mut(loc)
+    }
+
+    /// Invalidates the line at `loc` without writing it back, returning
+    /// whether it was dirty (its unwritten stores are then lost).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the location is out of range.
+    pub fn invalidate(&mut self, loc: LineLocation) -> bool {
+        self.lines.invalidate(loc)
     }
 
     /// The base address of the (valid) line at `loc`.
@@ -567,20 +547,15 @@ impl Cache {
     ///
     /// Panics if the location is out of range.
     pub fn line_base_at(&self, loc: LineLocation) -> Address {
-        let line = self.line_at(loc);
-        self.geometry.line_base(line.tag(), loc.set)
+        self.geometry.line_base(self.lines.tag(loc), loc.set)
     }
 
     /// Captures lines, replacement state, and statistics for
     /// checkpointing.
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
-            lines: self
-                .sets
-                .iter()
-                .flat_map(|set| (0..set.ways()).map(|w| set.line(w).clone()))
-                .collect(),
-            replacement: self.sets.iter().map(|s| s.replacement_state()).collect(),
+            lines: self.lines.records(),
+            replacement: self.replacement.clone(),
             stats: self.stats.clone(),
         }
     }
@@ -591,8 +566,9 @@ impl Cache {
     /// # Errors
     ///
     /// Fails — leaving this cache untouched — if the snapshot's shape
-    /// does not match this cache (line/set counts, words per line) or a
-    /// replacement state does not fit its set's policy.
+    /// does not match this cache (line/set counts, words per line), a
+    /// replacement state does not fit its set's policy, or two valid ways
+    /// of one set hold the same tag.
     pub fn restore(&mut self, snap: CacheSnapshot) -> Result<(), String> {
         let ways = self.geometry.associativity() as usize;
         let sets = self.geometry.num_sets() as usize;
@@ -610,50 +586,39 @@ impl Cache {
                 snap.replacement.len()
             ));
         }
-        if let Some(bad) = snap.lines.iter().position(|l| l.words() != words) {
+        if let Some(bad) = snap.lines.iter().position(|l| l.data.len() != words) {
             return Err(format!(
                 "snapshot line {bad} holds {} words, lines here hold {words}",
-                snap.lines[bad].words()
+                snap.lines[bad].data.len()
             ));
         }
-        // Apply replacement state first, keeping rollback copies so a
-        // mismatch partway through cannot leave a half-restored cache
-        // (the saved copies are valid by construction, so re-applying
-        // them cannot fail).
-        let rollback: Vec<ReplacementState> =
-            self.sets.iter().map(|s| s.replacement_state()).collect();
-        for (index, state) in snap.replacement.into_iter().enumerate() {
-            if let Err(err) = self.sets[index].load_replacement_state(state) {
-                for (set, saved) in self.sets.iter_mut().zip(rollback) {
-                    set.load_replacement_state(saved)
-                        .expect("rollback state came from these sets");
+        for (set, (state, lines)) in snap
+            .replacement
+            .iter()
+            .zip(snap.lines.chunks(ways))
+            .enumerate()
+        {
+            state
+                .check(self.kind, ways)
+                .map_err(|err| format!("set {set}: {err}"))?;
+            for (way, line) in lines.iter().enumerate() {
+                if line.valid && lines[..way].iter().any(|l| l.valid && l.tag == line.tag) {
+                    return Err(format!(
+                        "set {set}: two valid ways hold tag {:#x}",
+                        line.tag
+                    ));
                 }
-                return Err(format!("set {index}: {err}"));
             }
         }
-        let mut lines = snap.lines.into_iter();
-        for set in &mut self.sets {
-            for way in 0..ways {
-                *set.line_mut(way) = lines.next().expect("length checked above");
-            }
-        }
+        self.lines.load(&snap.lines);
+        self.replacement = snap.replacement;
         self.stats = snap.stats;
         Ok(())
     }
 
-    /// Iterates over all valid lines as `(location, line)`.
-    pub fn valid_lines(&self) -> impl Iterator<Item = (LineLocation, &CacheLine)> {
-        self.sets.iter().enumerate().flat_map(|(s, set)| {
-            set.iter().filter(|(_, l)| l.is_valid()).map(move |(w, l)| {
-                (
-                    LineLocation {
-                        set: s as u64,
-                        way: w as u32,
-                    },
-                    l,
-                )
-            })
-        })
+    /// Iterates over all valid lines as `(location, stored words)`.
+    pub fn valid_lines(&self) -> impl Iterator<Item = (LineLocation, &[u64])> {
+        self.lines.valid_lines()
     }
 }
 
@@ -699,9 +664,8 @@ impl Backing for CacheLevel<'_> {
         // Ensure presence, then copy the whole line out of the lower array.
         let (loc, hit, _) = self.cache.ensure_line(base, self.lower, self.observer);
         self.cache.stats.record_read(hit);
-        self.cache.sets[loc.set as usize].touch_hit(loc.way as usize);
-        let line = self.cache.line_at(loc);
-        let words = line.as_words();
+        self.cache.touch(loc);
+        let words = self.cache.lines.words(loc);
         buf.copy_from_slice(words);
         for (i, &w) in words.iter().enumerate() {
             self.observer.word_read(loc, i, w);
@@ -711,13 +675,16 @@ impl Backing for CacheLevel<'_> {
     fn store_line(&mut self, base: Address, data: &[u64]) {
         let (loc, hit, _) = self.cache.ensure_line(base, self.lower, self.observer);
         self.cache.stats.record_write(hit);
-        self.cache.sets[loc.set as usize].touch_hit(loc.way as usize);
-        let line = self.cache.line_at_mut(loc);
-        assert_eq!(data.len(), line.words(), "write size mismatch");
+        self.cache.touch(loc);
+        assert_eq!(
+            data.len(),
+            self.cache.words(loc).len(),
+            "write size mismatch"
+        );
         for (i, &n) in data.iter().enumerate() {
             // write_word hands back the replaced word, so the observer
             // sees the old/new pair without a scratch copy of the line.
-            let old = line.write_word(i, n);
+            let old = self.cache.lines.write_word(loc, i, n);
             self.observer.word_written(loc, i, old, n);
         }
     }
@@ -891,7 +858,7 @@ mod tests {
             .expect("miss");
         assert_eq!(cache.stats().prefetch_fills, 1);
         assert!(
-            cache.peek(Address::new(0x40)).is_some(),
+            cache.find(Address::new(0x40)).is_some(),
             "next line resident"
         );
         // The subsequent sequential access hits thanks to the prefetch.
@@ -923,8 +890,8 @@ mod tests {
             .expect("ok");
         assert_eq!(v, 7, "prefetch eviction must not affect the demand value");
         // The prefetched line displaced the demand line.
-        assert!(cache.peek(Address::new(0x00)).is_none());
-        assert!(cache.peek(Address::new(0x40)).is_some());
+        assert!(cache.find(Address::new(0x00)).is_none());
+        assert!(cache.find(Address::new(0x40)).is_some());
     }
 
     #[test]
@@ -960,8 +927,8 @@ mod tests {
         assert_eq!(mem.load(Address::new(0x40), 8), 0xAB);
         assert_eq!(cache.stats().writethroughs, 1);
         // The resident line is clean: evicting it writes nothing back.
-        let line = cache.peek(Address::new(0x40)).expect("resident");
-        assert!(!line.is_dirty());
+        let loc = cache.find(Address::new(0x40)).expect("resident");
+        assert!(!cache.snapshot().lines[loc.slot(2)].dirty);
         assert_eq!(cache.flush(&mut mem, &mut ()), 0);
         // Sub-word write-through merges correctly.
         cache
@@ -982,7 +949,7 @@ mod tests {
         assert!(!out.hit);
         assert_eq!(out.location, None, "write-around must not allocate");
         assert_eq!(mem.load(Address::new(0x40), 8), 7);
-        assert!(cache.peek(Address::new(0x40)).is_none());
+        assert!(cache.find(Address::new(0x40)).is_none());
         assert_eq!(cache.stats().fills, 0);
         // A read allocates; subsequent write hits update the line in place.
         let v = cache
@@ -1062,13 +1029,18 @@ mod tests {
     fn peek_does_not_disturb() {
         let mut cache = small_cache();
         let mut mem = MainMemory::new();
-        assert!(cache.peek(Address::new(0)).is_none());
+        assert!(cache.find(Address::new(0)).is_none());
+        mem.store(Address::new(8), 8, 0x77);
         cache
             .read(Address::new(0), 8, &mut mem, &mut ())
             .expect("ok");
-        let before = cache.stats().clone();
-        assert!(cache.peek(Address::new(0)).is_some());
-        assert_eq!(cache.stats(), &before);
+        let before = cache.snapshot();
+        let loc = cache.find(Address::new(0)).expect("resident");
+        assert!(cache.is_valid(loc));
+        assert_eq!(cache.words(loc)[1], 0x77);
+        let after = cache.snapshot();
+        assert_eq!(after.stats, before.stats);
+        assert_eq!(after.replacement, before.replacement);
     }
 
     #[test]
@@ -1157,6 +1129,49 @@ mod tests {
         assert_eq!(cache.snapshot().lines, before.lines);
         assert_eq!(cache.snapshot().stats, before.stats);
         assert_eq!(cache.snapshot().replacement, before.replacement);
+    }
+
+    #[test]
+    fn fill_target_prefers_invalid_ways() {
+        let mut cache = small_cache();
+        let mut mem = MainMemory::new();
+        // Set 0 holds 0x000 (way 0) and 0x100 (way 1); touching 0x000
+        // makes way 1 the LRU victim.
+        for addr in [0x000, 0x100, 0x000] {
+            cache
+                .read(Address::new(addr), 8, &mut mem, &mut ())
+                .unwrap();
+        }
+        let way0 = cache.find(Address::new(0x000)).expect("resident");
+        assert!(!cache.invalidate(way0), "clean line");
+        let out = cache.read_outcome(Address::new(0x200), 8, &mut mem, &mut ());
+        assert_eq!(out.unwrap().location, Some(way0), "invalid way first");
+        let out = cache.read_outcome(Address::new(0x300), 8, &mut mem, &mut ());
+        assert_eq!(out.unwrap().evicted, Some((Address::new(0x100), false)));
+    }
+
+    #[test]
+    fn restore_rejects_duplicate_tags_untouched() {
+        let mut cache = small_cache();
+        let mut mem = MainMemory::new();
+        cache
+            .write(Address::new(0), 8, 1, &mut mem, &mut ())
+            .unwrap();
+        let before = cache.snapshot();
+        // Way 1 of set 0 claims the same tag as way 0, holding stale data
+        // that a later eviction could write back over the newer line.
+        let mut bad = before.clone();
+        bad.lines[1] = CacheLine {
+            valid: true,
+            dirty: true,
+            data: vec![0xBAD; 8],
+            ..bad.lines[0].clone()
+        };
+        let err = cache.restore(bad).expect_err("duplicate tag");
+        assert!(err.contains("set 0"), "{err}");
+        assert_eq!(cache.snapshot().lines, before.lines);
+        assert_eq!(cache.snapshot().replacement, before.replacement);
+        assert_eq!(cache.snapshot().stats, before.stats);
     }
 
     #[test]

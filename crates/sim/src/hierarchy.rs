@@ -72,12 +72,27 @@ pub struct CacheHierarchy {
 
 impl CacheHierarchy {
     /// Creates an empty hierarchy over zero-filled memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the levels' line sizes differ (see
+    /// [`with_memory`](Self::with_memory)).
     pub fn new(config: HierarchyConfig) -> Self {
         CacheHierarchy::with_memory(config, MainMemory::new())
     }
 
     /// Creates a hierarchy over pre-populated memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the levels' line sizes differ: lines move between levels
+    /// whole.
     pub fn with_memory(config: HierarchyConfig, memory: MainMemory) -> Self {
+        let line = config.l1d.line_bytes();
+        assert!(
+            config.l1i.line_bytes() == line && config.l2.is_none_or(|g| g.line_bytes() == line),
+            "hierarchy levels must share one line size"
+        );
         CacheHierarchy {
             l1i: Cache::new("L1I", config.l1i, config.replacement),
             l1d: Cache::new("L1D", config.l1d, config.replacement),
@@ -249,6 +264,14 @@ mod tests {
         assert!(h.l2_stats().is_none());
         h.flush_all();
         assert_eq!(h.memory_mut().load(Address::new(0x40), 8), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "one line size")]
+    fn mismatched_line_sizes_are_rejected_at_construction() {
+        let mut config = HierarchyConfig::typical();
+        config.l1d = CacheGeometry::new(32 * 1024, 32, 8).expect("valid geometry");
+        CacheHierarchy::new(config);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! This crate is the *substrate* the CNT-Cache contribution sits on: a
 //! functional, data-carrying cache model. Unlike a hit/miss-only simulator,
-//! every [`CacheLine`] stores its actual words, because the whole point of
+//! every line stores its actual words, because the whole point of
 //! the paper is that dynamic energy depends on the *values* of the bits
 //! moving through the SRAM array. The energy layer observes raw array
 //! activity through the [`ArrayObserver`] trait without this crate knowing
@@ -13,8 +13,9 @@
 //!
 //! * [`Address`], [`CacheGeometry`] — address arithmetic and validated
 //!   cache shapes,
-//! * [`CacheLine`], [`CacheSet`] — data-carrying storage with pluggable
-//!   [`replacement`] policies,
+//! * [`Cache`] storage — one tag array, valid and dirty flags and one data
+//!   arena, indexed by [`LineLocation::slot`], plus one [`ReplacementState`]
+//!   per set ([`replacement`]); [`CacheLine`] is one line's checkpoint record,
 //! * [`Cache`] — a write-back, write-allocate cache over any [`Backing`]
 //!   (main memory or a lower cache level),
 //! * [`MainMemory`] — a sparse flat backing store,
@@ -49,19 +50,17 @@ mod hierarchy;
 mod line;
 mod memory;
 pub mod replacement;
-mod set;
 mod stats;
 pub mod trace;
 
 pub use addr::{Address, AddressParts};
 pub use cache::{
     AccessError, AccessOutcome, ArrayObserver, Backing, Cache, CacheLevel, CacheSnapshot,
-    LineLocation, PrefetchPolicy, WriteMode,
+    PrefetchPolicy, WriteMode,
 };
 pub use config::{CacheGeometry, GeometryError};
 pub use hierarchy::{CacheHierarchy, HierarchyConfig};
-pub use line::CacheLine;
+pub use line::{CacheLine, LineLocation};
 pub use memory::{FillPattern, MainMemory, MemorySnapshot};
 pub use replacement::{ReplacementKind, ReplacementState};
-pub use set::CacheSet;
 pub use stats::CacheStats;

@@ -1,11 +1,10 @@
-//! Pluggable per-set replacement policies.
+//! Per-set replacement policies.
 //!
-//! A policy tracks access recency/age for the ways of **one** set and picks
-//! a victim when the set is full. The cache informs the policy of hits and
-//! fills; invalid ways are always filled before a victim is chosen, so
-//! [`SetReplacement::victim`] may assume a full set.
+//! A [`ReplacementState`] is both the live policy of one set and its
+//! checkpoint image. The cache informs it of hits and fills; invalid ways
+//! are always filled before a victim is chosen, so
+//! [`ReplacementState::victim`] may assume a full set.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use rand::rngs::SmallRng;
@@ -17,15 +16,14 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use cnt_sim::ReplacementKind;
+/// use cnt_sim::{ReplacementKind, ReplacementState};
 ///
-/// let mut lru = ReplacementKind::Lru.build(4);
-/// lru.on_fill(0);
-/// lru.on_fill(1);
-/// lru.on_fill(2);
-/// lru.on_fill(3);
+/// let mut lru = ReplacementState::new(ReplacementKind::Lru, 4, 0);
+/// for way in 0..4 {
+///     lru.on_fill(way);
+/// }
 /// lru.on_hit(0); // way 0 becomes most recent
-/// assert_eq!(lru.victim(), 1);
+/// assert_eq!(lru.victim(4), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum ReplacementKind {
@@ -45,25 +43,6 @@ pub enum ReplacementKind {
     Srrip,
 }
 
-impl ReplacementKind {
-    /// Builds the per-set policy state for a set with `ways` ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero, or if [`ReplacementKind::TreePlru`] is
-    /// requested with a non-power-of-two way count.
-    pub fn build(&self, ways: usize) -> Box<dyn SetReplacement> {
-        assert!(ways > 0, "a set must have at least one way");
-        match self {
-            ReplacementKind::Lru => Box::new(Lru::new(ways)),
-            ReplacementKind::Fifo => Box::new(Fifo::new(ways)),
-            ReplacementKind::Random { seed } => Box::new(RandomPolicy::new(ways, *seed)),
-            ReplacementKind::TreePlru => Box::new(TreePlru::new(ways)),
-            ReplacementKind::Srrip => Box::new(Srrip::new(ways)),
-        }
-    }
-}
-
 impl fmt::Display for ReplacementKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -76,11 +55,12 @@ impl fmt::Display for ReplacementKind {
     }
 }
 
-/// Serializable snapshot of one set's replacement state, for
-/// checkpoint/resume. Captured with [`SetReplacement::save_state`] and
-/// re-applied with [`SetReplacement::load_state`]; a restored policy
-/// continues the exact victim sequence of the captured one (including
-/// the random policy, whose raw xoshiro state words are carried).
+/// The replacement state of one set: the live policy, and (serialized)
+/// its checkpoint image. A restored state continues the exact victim
+/// sequence of the captured one, including the random policy, whose raw
+/// xoshiro state words are carried.
+///
+/// Methods taking a `way` may assume `way < ways`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReplacementState {
     /// LRU recency stack, least-recent first.
@@ -110,7 +90,46 @@ pub enum ReplacementState {
     },
 }
 
+const RRPV_MAX: u8 = 3; // 2-bit counters
+const RRPV_LONG: u8 = RRPV_MAX - 1;
+
 impl ReplacementState {
+    /// The initial state of set `set_index` in a cache with `ways` ways.
+    /// The random policy derives a distinct stream per set from its seed,
+    /// so every set does not evict the same way sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero, or if [`ReplacementKind::TreePlru`] is
+    /// requested with a non-power-of-two way count.
+    pub fn new(kind: ReplacementKind, ways: usize, set_index: u64) -> Self {
+        assert!(ways > 0, "a set must have at least one way");
+        match kind {
+            ReplacementKind::Lru => ReplacementState::Lru {
+                order: (0..ways).collect(),
+            },
+            ReplacementKind::Fifo => ReplacementState::Fifo {
+                queue: (0..ways).collect(),
+            },
+            ReplacementKind::Random { seed } => ReplacementState::Random {
+                rng: SmallRng::seed_from_u64(seed ^ set_index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .state(),
+            },
+            ReplacementKind::TreePlru => {
+                assert!(
+                    ways.is_power_of_two(),
+                    "tree-PLRU requires power-of-two associativity, got {ways}"
+                );
+                ReplacementState::TreePlru {
+                    bits: vec![false; ways - 1],
+                }
+            }
+            ReplacementKind::Srrip => ReplacementState::Srrip {
+                rrpv: vec![RRPV_MAX; ways],
+            },
+        }
+    }
+
     /// The policy kind this state belongs to, for error messages.
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -121,15 +140,135 @@ impl ReplacementState {
             ReplacementState::Srrip { .. } => "SRRIP",
         }
     }
+
+    /// Called when `way` hits. FIFO and random ignore hits.
+    pub fn on_hit(&mut self, way: usize) {
+        match self {
+            ReplacementState::Lru { order } => move_to_back(order, way),
+            ReplacementState::TreePlru { bits } => plru_touch(bits, way),
+            ReplacementState::Srrip { rrpv } => rrpv[way] = 0,
+            ReplacementState::Fifo { .. } | ReplacementState::Random { .. } => {}
+        }
+    }
+
+    /// Called when a line is (re-)filled into `way`.
+    pub fn on_fill(&mut self, way: usize) {
+        match self {
+            ReplacementState::Lru { order } | ReplacementState::Fifo { queue: order } => {
+                move_to_back(order, way);
+            }
+            ReplacementState::TreePlru { bits } => plru_touch(bits, way),
+            ReplacementState::Srrip { rrpv } => rrpv[way] = RRPV_LONG,
+            ReplacementState::Random { .. } => {}
+        }
+    }
+
+    /// Picks the way to evict from a full set of `ways` ways.
+    pub fn victim(&mut self, ways: usize) -> usize {
+        match self {
+            ReplacementState::Lru { order } | ReplacementState::Fifo { queue: order } => order[0],
+            ReplacementState::Random { rng } => {
+                let mut stream = SmallRng::from_state(*rng);
+                let way = stream.gen_range(0..ways);
+                *rng = stream.state();
+                way
+            }
+            ReplacementState::TreePlru { bits } => {
+                let (mut node, mut lo, mut hi) = (0, 0, ways);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if bits[node] {
+                        node = 2 * node + 2;
+                        lo = mid;
+                    } else {
+                        node = 2 * node + 1;
+                        hi = mid;
+                    }
+                }
+                lo
+            }
+            ReplacementState::Srrip { rrpv } => loop {
+                if let Some(way) = rrpv.iter().position(|&v| v == RRPV_MAX) {
+                    return way;
+                }
+                for v in rrpv.iter_mut() {
+                    *v += 1;
+                }
+            },
+        }
+    }
+
+    /// Checks that this state (e.g. read from a checkpoint) is a valid
+    /// `kind` state for a set of `ways` ways: the same policy, the right
+    /// length, LRU/FIFO orders that are permutations, and RRPVs that fit
+    /// in two bits.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first mismatch.
+    pub fn check(&self, kind: ReplacementKind, ways: usize) -> Result<(), String> {
+        match (kind, self) {
+            (ReplacementKind::Lru, ReplacementState::Lru { order }) => {
+                check_permutation("LRU order", ways, order)
+            }
+            (ReplacementKind::Fifo, ReplacementState::Fifo { queue }) => {
+                check_permutation("FIFO queue", ways, queue)
+            }
+            (ReplacementKind::Random { .. }, ReplacementState::Random { .. }) => Ok(()),
+            (ReplacementKind::TreePlru, ReplacementState::TreePlru { bits }) => {
+                check_len("tree-PLRU bits", ways - 1, bits.len())
+            }
+            (ReplacementKind::Srrip, ReplacementState::Srrip { rrpv }) => {
+                check_len("SRRIP rrpv", ways, rrpv.len())?;
+                match rrpv.iter().find(|&&v| v > RRPV_MAX) {
+                    Some(v) => Err(format!("SRRIP rrpv value {v} exceeds max {RRPV_MAX}")),
+                    None => Ok(()),
+                }
+            }
+            (kind, state) => Err(format!(
+                "policy is {kind}, snapshot is {}",
+                state.kind_name()
+            )),
+        }
+    }
+}
+
+/// Moves `way` to the back of a recency or fill order.
+fn move_to_back(order: &mut [usize], way: usize) {
+    let pos = order
+        .iter()
+        .position(|&w| w == way)
+        .expect("way must be tracked");
+    order[pos..].rotate_left(1);
+}
+
+/// Points the tree-PLRU bits on `way`'s root path away from it.
+fn plru_touch(bits: &mut [bool], way: usize) {
+    let (mut node, mut lo, mut hi) = (0, 0, bits.len() + 1);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        // Left half: point the bit right (away), and vice versa.
+        bits[node] = way < mid;
+        if way < mid {
+            node = 2 * node + 1;
+            hi = mid;
+        } else {
+            node = 2 * node + 2;
+            lo = mid;
+        }
+    }
+}
+
+fn check_len(what: &'static str, expected: usize, got: usize) -> Result<(), String> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(format!("{what}: expected {expected} entries, got {got}"))
+    }
 }
 
 fn check_permutation(what: &'static str, ways: usize, order: &[usize]) -> Result<(), String> {
-    if order.len() != ways {
-        return Err(format!(
-            "{what}: expected {ways} entries, got {}",
-            order.len()
-        ));
-    }
+    check_len(what, ways, order.len())?;
     let mut seen = vec![false; ways];
     for &w in order {
         if w >= ways || seen[w] {
@@ -140,348 +279,12 @@ fn check_permutation(what: &'static str, ways: usize, order: &[usize]) -> Result
     Ok(())
 }
 
-/// Per-set replacement state.
-///
-/// Implementations may assume `way < ways` for every argument and that
-/// [`victim`](Self::victim) is only called on a full set.
-pub trait SetReplacement: fmt::Debug + Send {
-    /// Called when `way` hits.
-    fn on_hit(&mut self, way: usize);
-    /// Called when a line is (re-)filled into `way`.
-    fn on_fill(&mut self, way: usize);
-    /// Picks the way to evict from a full set.
-    fn victim(&mut self) -> usize;
-    /// Captures the full policy state for checkpointing.
-    fn save_state(&self) -> ReplacementState;
-    /// Replaces the policy state with a previously captured snapshot.
-    ///
-    /// Rejects (leaving the current state untouched) a snapshot from a
-    /// different policy kind or with a shape that does not fit this
-    /// set's way count.
-    fn load_state(&mut self, state: ReplacementState) -> Result<(), String>;
-}
-
-/// True-LRU recency stack: front = least recent, back = most recent.
-#[derive(Debug)]
-struct Lru {
-    order: Vec<usize>,
-}
-
-impl Lru {
-    fn new(ways: usize) -> Self {
-        Lru {
-            order: (0..ways).collect(),
-        }
-    }
-
-    fn touch(&mut self, way: usize) {
-        let pos = self
-            .order
-            .iter()
-            .position(|&w| w == way)
-            .expect("way must be tracked");
-        let way = self.order.remove(pos);
-        self.order.push(way);
-    }
-}
-
-impl SetReplacement for Lru {
-    fn on_hit(&mut self, way: usize) {
-        self.touch(way);
-    }
-
-    fn on_fill(&mut self, way: usize) {
-        self.touch(way);
-    }
-
-    fn victim(&mut self) -> usize {
-        self.order[0]
-    }
-
-    fn save_state(&self) -> ReplacementState {
-        ReplacementState::Lru {
-            order: self.order.clone(),
-        }
-    }
-
-    fn load_state(&mut self, state: ReplacementState) -> Result<(), String> {
-        match state {
-            ReplacementState::Lru { order } => {
-                check_permutation("LRU order", self.order.len(), &order)?;
-                self.order = order;
-                Ok(())
-            }
-            other => Err(format!("policy is LRU, snapshot is {}", other.kind_name())),
-        }
-    }
-}
-
-/// FIFO: evict in fill order, hits do not refresh.
-#[derive(Debug)]
-struct Fifo {
-    queue: VecDeque<usize>,
-}
-
-impl Fifo {
-    fn new(ways: usize) -> Self {
-        Fifo {
-            queue: (0..ways).collect(),
-        }
-    }
-}
-
-impl SetReplacement for Fifo {
-    fn on_hit(&mut self, _way: usize) {}
-
-    fn on_fill(&mut self, way: usize) {
-        if let Some(pos) = self.queue.iter().position(|&w| w == way) {
-            self.queue.remove(pos);
-        }
-        self.queue.push_back(way);
-    }
-
-    fn victim(&mut self) -> usize {
-        *self.queue.front().expect("fifo never empty")
-    }
-
-    fn save_state(&self) -> ReplacementState {
-        ReplacementState::Fifo {
-            queue: self.queue.iter().copied().collect(),
-        }
-    }
-
-    fn load_state(&mut self, state: ReplacementState) -> Result<(), String> {
-        match state {
-            ReplacementState::Fifo { queue } => {
-                check_permutation("FIFO queue", self.queue.len(), &queue)?;
-                self.queue = queue.into();
-                Ok(())
-            }
-            other => Err(format!("policy is FIFO, snapshot is {}", other.kind_name())),
-        }
-    }
-}
-
-/// Deterministic random victim selection.
-#[derive(Debug)]
-struct RandomPolicy {
-    ways: usize,
-    rng: SmallRng,
-}
-
-impl RandomPolicy {
-    fn new(ways: usize, seed: u64) -> Self {
-        RandomPolicy {
-            ways,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl SetReplacement for RandomPolicy {
-    fn on_hit(&mut self, _way: usize) {}
-    fn on_fill(&mut self, _way: usize) {}
-
-    fn victim(&mut self) -> usize {
-        self.rng.gen_range(0..self.ways)
-    }
-
-    fn save_state(&self) -> ReplacementState {
-        ReplacementState::Random {
-            rng: self.rng.state(),
-        }
-    }
-
-    fn load_state(&mut self, state: ReplacementState) -> Result<(), String> {
-        match state {
-            ReplacementState::Random { rng } => {
-                self.rng = SmallRng::from_state(rng);
-                Ok(())
-            }
-            other => Err(format!(
-                "policy is random, snapshot is {}",
-                other.kind_name()
-            )),
-        }
-    }
-}
-
-/// Tree pseudo-LRU over a power-of-two number of ways.
-///
-/// The tree is stored as `ways - 1` direction bits in heap order; a bit of
-/// `false` points left, `true` points right. Touching a way flips the bits
-/// on its root path to point *away* from it; the victim walk follows the
-/// bits.
-#[derive(Debug)]
-struct TreePlru {
-    ways: usize,
-    bits: Vec<bool>,
-}
-
-impl TreePlru {
-    fn new(ways: usize) -> Self {
-        assert!(
-            ways.is_power_of_two(),
-            "tree-PLRU requires power-of-two associativity, got {ways}"
-        );
-        TreePlru {
-            ways,
-            bits: vec![false; ways.saturating_sub(1)],
-        }
-    }
-
-    fn touch(&mut self, way: usize) {
-        if self.ways == 1 {
-            return;
-        }
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if way < mid {
-                // way is in the left half: point the bit right (away).
-                self.bits[node] = true;
-                node = 2 * node + 1;
-                hi = mid;
-            } else {
-                self.bits[node] = false;
-                node = 2 * node + 2;
-                lo = mid;
-            }
-        }
-    }
-}
-
-impl SetReplacement for TreePlru {
-    fn on_hit(&mut self, way: usize) {
-        self.touch(way);
-    }
-
-    fn on_fill(&mut self, way: usize) {
-        self.touch(way);
-    }
-
-    fn victim(&mut self) -> usize {
-        if self.ways == 1 {
-            return 0;
-        }
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if self.bits[node] {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    fn save_state(&self) -> ReplacementState {
-        ReplacementState::TreePlru {
-            bits: self.bits.clone(),
-        }
-    }
-
-    fn load_state(&mut self, state: ReplacementState) -> Result<(), String> {
-        match state {
-            ReplacementState::TreePlru { bits } => {
-                if bits.len() != self.bits.len() {
-                    return Err(format!(
-                        "tree-PLRU bits: expected {} entries, got {}",
-                        self.bits.len(),
-                        bits.len()
-                    ));
-                }
-                self.bits = bits;
-                Ok(())
-            }
-            other => Err(format!(
-                "policy is tree-PLRU, snapshot is {}",
-                other.kind_name()
-            )),
-        }
-    }
-}
-
-/// SRRIP with 2-bit re-reference prediction values.
-#[derive(Debug)]
-struct Srrip {
-    rrpv: Vec<u8>,
-}
-
-const RRPV_MAX: u8 = 3; // 2-bit counters
-const RRPV_LONG: u8 = RRPV_MAX - 1;
-
-impl Srrip {
-    fn new(ways: usize) -> Self {
-        Srrip {
-            rrpv: vec![RRPV_MAX; ways],
-        }
-    }
-}
-
-impl SetReplacement for Srrip {
-    fn on_hit(&mut self, way: usize) {
-        self.rrpv[way] = 0;
-    }
-
-    fn on_fill(&mut self, way: usize) {
-        self.rrpv[way] = RRPV_LONG;
-    }
-
-    fn victim(&mut self) -> usize {
-        loop {
-            if let Some(way) = self.rrpv.iter().position(|&v| v == RRPV_MAX) {
-                return way;
-            }
-            for v in &mut self.rrpv {
-                *v += 1;
-            }
-        }
-    }
-
-    fn save_state(&self) -> ReplacementState {
-        ReplacementState::Srrip {
-            rrpv: self.rrpv.clone(),
-        }
-    }
-
-    fn load_state(&mut self, state: ReplacementState) -> Result<(), String> {
-        match state {
-            ReplacementState::Srrip { rrpv } => {
-                if rrpv.len() != self.rrpv.len() {
-                    return Err(format!(
-                        "SRRIP rrpv: expected {} entries, got {}",
-                        self.rrpv.len(),
-                        rrpv.len()
-                    ));
-                }
-                if let Some(v) = rrpv.iter().find(|&&v| v > RRPV_MAX) {
-                    return Err(format!("SRRIP rrpv value {v} exceeds max {RRPV_MAX}"));
-                }
-                self.rrpv = rrpv;
-                Ok(())
-            }
-            other => Err(format!(
-                "policy is SRRIP, snapshot is {}",
-                other.kind_name()
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn filled(kind: ReplacementKind, ways: usize) -> Box<dyn SetReplacement> {
-        let mut p = kind.build(ways);
+    fn filled(kind: ReplacementKind, ways: usize) -> ReplacementState {
+        let mut p = ReplacementState::new(kind, ways, 0);
         for w in 0..ways {
             p.on_fill(w);
         }
@@ -491,20 +294,20 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut p = filled(ReplacementKind::Lru, 4);
-        assert_eq!(p.victim(), 0);
+        assert_eq!(p.victim(4), 0);
         p.on_hit(0);
-        assert_eq!(p.victim(), 1);
+        assert_eq!(p.victim(4), 1);
         p.on_hit(1);
         p.on_hit(2);
         p.on_hit(3);
-        assert_eq!(p.victim(), 0);
+        assert_eq!(p.victim(4), 0);
     }
 
     #[test]
     fn lru_refill_refreshes() {
         let mut p = filled(ReplacementKind::Lru, 2);
         p.on_fill(0);
-        assert_eq!(p.victim(), 1);
+        assert_eq!(p.victim(2), 1);
     }
 
     #[test]
@@ -512,9 +315,9 @@ mod tests {
         let mut p = filled(ReplacementKind::Fifo, 4);
         p.on_hit(0);
         p.on_hit(0);
-        assert_eq!(p.victim(), 0, "hits must not refresh FIFO order");
+        assert_eq!(p.victim(4), 0, "hits must not refresh FIFO order");
         p.on_fill(0); // re-filling moves way 0 to the back
-        assert_eq!(p.victim(), 1);
+        assert_eq!(p.victim(4), 1);
     }
 
     #[test]
@@ -522,18 +325,27 @@ mod tests {
         let mut a = filled(ReplacementKind::Random { seed: 42 }, 8);
         let mut b = filled(ReplacementKind::Random { seed: 42 }, 8);
         for _ in 0..100 {
-            let (va, vb) = (a.victim(), b.victim());
+            let (va, vb) = (a.victim(8), b.victim(8));
             assert_eq!(va, vb);
             assert!(va < 8);
         }
     }
 
     #[test]
+    fn per_set_random_streams_differ() {
+        let kind = ReplacementKind::Random { seed: 9 };
+        let (mut a, mut b) = (filled(kind, 4), ReplacementState::new(kind, 4, 1));
+        let seq_a: Vec<usize> = (0..32).map(|_| a.victim(4)).collect();
+        let seq_b: Vec<usize> = (0..32).map(|_| b.victim(4)).collect();
+        assert_ne!(seq_a, seq_b, "sets should have independent streams");
+    }
+
+    #[test]
     fn tree_plru_victim_avoids_recent() {
         let mut p = filled(ReplacementKind::TreePlru, 4);
-        let v1 = p.victim();
+        let v1 = p.victim(4);
         p.on_hit(v1);
-        let v2 = p.victim();
+        let v2 = p.victim(4);
         assert_ne!(v1, v2, "just-touched way must not be the next victim");
     }
 
@@ -543,7 +355,7 @@ mod tests {
         let mut p = filled(ReplacementKind::TreePlru, 8);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..8 {
-            let v = p.victim();
+            let v = p.victim(8);
             seen.insert(v);
             p.on_fill(v);
         }
@@ -553,30 +365,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn tree_plru_rejects_odd_ways() {
-        ReplacementKind::TreePlru.build(3);
+        ReplacementState::new(ReplacementKind::TreePlru, 3, 0);
     }
 
     #[test]
     fn srrip_prefers_distant_rrpv() {
-        let mut p = ReplacementKind::Srrip.build(4);
-        p.on_fill(0);
-        p.on_fill(1);
-        p.on_fill(2);
-        p.on_fill(3);
+        let mut p = filled(ReplacementKind::Srrip, 4);
         p.on_hit(2); // rrpv[2] = 0
-        let v = p.victim();
+        let v = p.victim(4);
         assert_ne!(v, 2, "hit way has the nearest re-reference prediction");
     }
 
     #[test]
     fn srrip_ages_until_victim_found() {
-        let mut p = ReplacementKind::Srrip.build(2);
-        p.on_fill(0);
-        p.on_fill(1);
+        let mut p = filled(ReplacementKind::Srrip, 2);
         p.on_hit(0);
         p.on_hit(1);
         // Both at rrpv 0; aging must still terminate and pick way 0 first.
-        assert_eq!(p.victim(), 0);
+        assert_eq!(p.victim(2), 0);
     }
 
     #[test]
@@ -589,14 +395,14 @@ mod tests {
             ReplacementKind::Srrip,
         ] {
             let mut p = filled(kind, 1);
-            assert_eq!(p.victim(), 0, "{kind}");
+            assert_eq!(p.victim(1), 0, "{kind}");
         }
     }
 
     #[test]
     #[should_panic(expected = "at least one way")]
     fn zero_ways_panics() {
-        ReplacementKind::Lru.build(0);
+        ReplacementState::new(ReplacementKind::Lru, 0, 0);
     }
 
     #[test]
@@ -611,15 +417,15 @@ mod tests {
             let mut p = filled(kind, 4);
             // Advance into a non-trivial state.
             for step in 0..13 {
-                let v = p.victim();
+                let v = p.victim(4);
                 p.on_fill(v);
                 p.on_hit(step % 4);
             }
-            let state = p.save_state();
-            let mut q = filled(kind, 4);
-            q.load_state(state).expect("same shape must load");
+            let json = serde_json::to_string(&p).expect("state serializes");
+            let mut q: ReplacementState = serde_json::from_str(&json).expect("state parses");
+            q.check(kind, 4).expect("same shape must load");
             for _ in 0..20 {
-                let (vp, vq) = (p.victim(), q.victim());
+                let (vp, vq) = (p.victim(4), q.victim(4));
                 assert_eq!(vp, vq, "{kind}: restored policy must track original");
                 p.on_fill(vp);
                 q.on_fill(vq);
@@ -629,30 +435,25 @@ mod tests {
 
     #[test]
     fn load_state_rejects_kind_and_shape_mismatch() {
-        let mut lru = filled(ReplacementKind::Lru, 4);
-        let fifo_state = filled(ReplacementKind::Fifo, 4).save_state();
-        assert!(lru.load_state(fifo_state).is_err(), "kind mismatch");
-        let wide = filled(ReplacementKind::Lru, 8).save_state();
-        assert!(lru.load_state(wide).is_err(), "way-count mismatch");
+        let lru = ReplacementKind::Lru;
+        let fifo_state = filled(ReplacementKind::Fifo, 4);
+        assert!(fifo_state.check(lru, 4).is_err(), "kind mismatch");
+        assert!(filled(lru, 8).check(lru, 4).is_err(), "way-count mismatch");
+        let duplicate = ReplacementState::Lru {
+            order: vec![0, 0, 1, 2],
+        };
         assert!(
-            lru.load_state(ReplacementState::Lru {
-                order: vec![0, 0, 1, 2],
-            })
-            .is_err(),
+            duplicate.check(lru, 4).is_err(),
             "duplicate ways are not a permutation"
         );
-        let mut srrip = filled(ReplacementKind::Srrip, 2);
+        let srrip = ReplacementState::Srrip { rrpv: vec![9, 0] };
         assert!(
-            srrip
-                .load_state(ReplacementState::Srrip { rrpv: vec![9, 0] })
-                .is_err(),
+            srrip.check(ReplacementKind::Srrip, 2).is_err(),
             "out-of-range RRPV"
         );
-        // A rejected load leaves the current state untouched.
-        assert_eq!(
-            srrip.save_state(),
-            ReplacementState::Srrip { rrpv: vec![2, 2] }
-        );
+        assert!(filled(ReplacementKind::TreePlru, 8)
+            .check(ReplacementKind::TreePlru, 4)
+            .is_err());
     }
 
     #[test]

@@ -153,8 +153,8 @@ proptest! {
         prop_assert_eq!(cache.stats().writethroughs, writes);
         prop_assert_eq!(cache.stats().writebacks, 0, "write-through lines are never dirty");
         prop_assert_eq!(cache.flush(&mut mem, &mut ()), 0);
-        for (_, line) in cache.valid_lines() {
-            prop_assert!(!line.is_dirty());
+        for line in cache.snapshot().lines {
+            prop_assert!(!line.dirty);
         }
     }
 

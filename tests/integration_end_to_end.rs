@@ -144,7 +144,7 @@ fn wide_lines_and_many_partitions_work_end_to_end() {
         // All resident lines still decode.
         let lines: Vec<_> = cache
             .valid_lines()
-            .map(|(loc, line, dirs)| (loc, line.as_words().to_vec(), *dirs))
+            .map(|(loc, line, dirs)| (loc, line.to_vec(), *dirs))
             .collect();
         for (loc, logical, dirs) in lines {
             let stored = cache.stored_line(loc).expect("valid");
@@ -210,7 +210,7 @@ fn stored_lines_always_decode_to_logical_content() {
     let mut checked = 0;
     let lines: Vec<_> = cache
         .valid_lines()
-        .map(|(loc, line, dirs)| (loc, line.as_words().to_vec(), *dirs))
+        .map(|(loc, line, dirs)| (loc, line.to_vec(), *dirs))
         .collect();
     for (loc, logical, dirs) in lines {
         let stored = cache.stored_line(loc).expect("valid line");

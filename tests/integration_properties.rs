@@ -221,7 +221,7 @@ proptest! {
         }
         let lines: Vec<_> = cache
             .valid_lines()
-            .map(|(loc, line, dirs)| (loc, line.as_words().to_vec(), *dirs))
+            .map(|(loc, line, dirs)| (loc, line.to_vec(), *dirs))
             .collect();
         for (loc, logical, dirs) in lines {
             let stored = cache.stored_line(loc).expect("valid line");
